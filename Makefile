@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-json bench-fleet-json bench-tables-json pprof tables fuzz examples serve route loadtest loadtest-json fleet-json clean
+.PHONY: all build vet test race cover bench bench-json bench-fleet-json pprof tables fuzz examples serve route loadtest loadtest-json clean
 
 all: build vet test
 
@@ -42,13 +42,6 @@ bench-fleet-json:
 	$(GO) run ./cmd/ppaload -fleet 1,2,4 -gen connected -n 32 -seed 1 \
 		-graphs 32 -c 32 -requests 8 -dests 1 -backend-delay 16ms -json > BENCH_PR7.json
 
-# Machine-readable snapshot: E1-E6 cycle tables + wall-clock solve cost
-# (including the workers-scaling curve, the fused-vs-reference session
-# ablation, the virtualization curve k = n/m in {1, 2, 4, 8}, and the
-# PPC bytecode-vs-reference execution curve).
-bench-tables-json:
-	$(GO) run ./cmd/benchtab -json > BENCH_PR6.json
-
 # CPU profile of the simulator's hot path (repeated n=64 session solves);
 # inspect with `go tool pprof solve.pprof`.
 pprof:
@@ -62,11 +55,6 @@ serve:
 # BACKENDS at comma-separated ppaserved URLs.
 route:
 	$(GO) run ./cmd/pparouter -backends $(BACKENDS)
-
-# Same fleet sweep as bench-json, to stdout for a quick look.
-fleet-json:
-	$(GO) run ./cmd/ppaload -fleet 1,2,4 -gen connected -n 32 -seed 1 \
-		-graphs 32 -c 32 -requests 8 -dests 1 -backend-delay 16ms -json
 
 # Closed-loop load test against an in-process server; every response is
 # verified against Bellman-Ford. Point at a live server with

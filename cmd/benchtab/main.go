@@ -110,8 +110,8 @@ func runWallClock(only *regexp.Regexp) []wallClock {
 	}
 	// All-pairs batching curve: one warm SolveSweep over all n
 	// destinations vs the same table solved one warm destination at a
-	// time. The gap is what the sweep's incremental per-destination init
-	// and shadow-charged broadcasts buy on the host.
+	// time. Both run the same fused DP lane, so the per-destination row
+	// is the control for the sweep driver's own overhead.
 	for _, n := range []int{16, 32, 64} {
 		n := n
 		ga := graph.GenRandomConnected(n, 0.3, 9, 5)

@@ -58,9 +58,12 @@ type Options struct {
 	// cycles scale by k = n/PhysicalSide (the virtualization ablation).
 	PhysicalSide int
 	// ReferenceKernels forces the interpretive bit-serial reduction path
-	// even where the fused bit-sliced kernels apply (they are on by
-	// default; results and cost-model counters are identical either way —
-	// this is a debugging/ablation knob, see par.Array.SetFused).
+	// even where the fused bit-sliced kernels apply (see
+	// par.Array.SetFused), and with it the machine-program DP (runDP)
+	// instead of the fused host lane (solveFused). Both are on by
+	// default; results, cost-model counters and observer events are
+	// identical either way — this is a debugging/ablation knob and the
+	// oracle the fast paths are pinned to.
 	ReferenceKernels bool
 }
 
@@ -77,47 +80,20 @@ type Result struct {
 	Bits uint
 }
 
-// Solve runs the PPA MCP algorithm for destination dest on g.
+// Solve runs the PPA MCP algorithm for destination dest on g: a one-shot
+// Session (NewSession, SolveContext, Close).
 func Solve(g *graph.Graph, dest int, opt Options) (*Result, error) {
 	if dest < 0 || dest >= g.N {
 		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, g.N)
 	}
-	if err := g.Validate(); err != nil {
+	s, err := NewSession(g, opt)
+	if err != nil {
 		return nil, err
 	}
-	h := opt.Bits
-	if h == 0 {
-		h = g.BitsNeeded()
-	}
-	if h > ppa.MaxBits {
-		return nil, fmt.Errorf("core: word width %d exceeds %d bits", h, ppa.MaxBits)
-	}
-	n := g.N
-	if int64(n-1) > int64(ppa.Infinity(h)) {
-		return nil, fmt.Errorf("core: %d-bit words cannot hold vertex indices up to %d", h, n-1)
-	}
-
-	var mopts []ppa.Option
-	if opt.Workers > 1 {
-		mopts = append(mopts, ppa.WithWorkers(opt.Workers))
-	}
-	var m ppa.Fabric
-	if opt.PhysicalSide > 0 && opt.PhysicalSide < n {
-		vm, err := virt.New(n, opt.PhysicalSide, h, mopts...)
-		if err != nil {
-			return nil, err
-		}
-		m = vm
-	} else {
-		m = ppa.New(n, h, mopts...)
-	}
-	r, err := SolveOn(m, g, dest, opt)
 	// One-shot solve on an internally built machine: stop any ring
 	// workers now rather than leaving them to the finalizer.
-	if c, ok := m.(interface{ Close() }); ok {
-		c.Close()
-	}
-	return r, err
+	defer s.Close()
+	return s.SolveContext(context.Background(), dest)
 }
 
 // SolveOn runs the algorithm on a caller-supplied fabric — the entry
@@ -155,10 +131,10 @@ type Session struct {
 	// session is warm (the session-pool hot path of internal/serve).
 	wbuf []ppa.Word
 
-	// sw is the batched-sweep scratch (sweep.go), allocated on first
-	// SolveSweep and reused for every destination thereafter. It holds no
-	// graph data, so Reload does not invalidate it.
-	sw *sweepState
+	// sc is the per-destination host scratch (sweep.go), allocated on
+	// the first solve and reused for every destination thereafter. It
+	// holds no graph data, so Reload does not invalidate it.
+	sc *scratch
 
 	// Incremental re-solve state (update.go / resolve.go): version counts
 	// effective Update batches, warm retains per-destination solutions for
@@ -166,14 +142,12 @@ type Session struct {
 	// can invalidate them (entries older than logFloor have been
 	// truncated, so snapshots from before logFloor are unusable). ownG
 	// marks s.g as session-owned — Update clones the caller's graph before
-	// the first mutation. rs is the warm-path scratch; upIdx/upVals stage
-	// the sparse weight DMA.
+	// the first mutation. upIdx/upVals stage the sparse weight DMA.
 	version  uint64
 	logFloor uint64
 	incLog   []incEntry
 	warm     map[int]*warmDest
 	ownG     bool
-	rs       *resolveState
 	upIdx    []int
 	upVals   []ppa.Word
 
@@ -213,7 +187,14 @@ func NewSession(g *graph.Graph, opt Options) (*Session, error) {
 	} else {
 		m = ppa.New(n, h, mopts...)
 	}
-	return NewSessionOn(m, g, opt)
+	s, err := NewSessionOn(m, g, opt)
+	if err != nil {
+		if c, ok := m.(interface{ Close() }); ok {
+			c.Close()
+		}
+		return nil, err
+	}
+	return s, nil
 }
 
 // NewSessionOn builds a session on a caller-supplied fabric.
@@ -312,42 +293,142 @@ func (s *Session) Solve(dest int) (*Result, error) {
 // all machine temporaries are returned to the session's pools and the
 // context's error is returned.
 func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
-	g, a, opt := s.g, s.a, s.opt
-	if dest < 0 || dest >= g.N {
-		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, g.N)
+	n := s.m.N()
+	if dest < 0 || dest >= n {
+		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, n)
 	}
-	n := g.N
-	m := s.m
-	h := m.Bits()
+	return s.solve(ctx, dest, false)
+}
+
+// solve runs one destination's DP and builds its Result — the one
+// dispatch behind every MCP entry point (Solve, SolveSweep, Resolve,
+// ResolveSweep): healthy plain machines run the fused lane (solveFused,
+// sweep.go), every other fabric the machine program (solveProgram). A
+// cold solve (warm false) starts from the 1-edge seeds of statements 4-7;
+// a warm one from the distances Resolve staged in the scratch's sow.
+func (s *Session) solve(ctx context.Context, dest int, warm bool) (*Result, error) {
+	sc := s.scratch()
+	start := s.m.Metrics()
+	var iterations int
+	var err error
+	pm := s.fusedMachine()
+	if pm != nil {
+		iterations, err = s.solveFused(ctx, pm, dest, warm)
+	} else {
+		iterations, err = s.solveProgram(ctx, dest, warm)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if pm != nil || warm {
+		// The fused lane tracks no PTN, and a warm program run's PTN
+		// follows its own trajectory: both take the cold DP's canonical
+		// next pointers from the converged distances (resolve.go).
+		s.canonicalNext(dest, sc)
+	}
+	return s.newResult(dest, sc.sow, sc.next, iterations, s.m.Metrics().Sub(start)), nil
+}
+
+// newResult builds a Result from a solved row: sow holds machine-word
+// distances to dest (MAXINT for unreachable vertices), next the successor
+// of each vertex. dest and unreachable vertices report graph.NoEdge/-1
+// per graph.Result, whatever the vectors hold there.
+func (s *Session) newResult(dest int, sow []ppa.Word, next []int, iterations int, met ppa.Metrics) *Result {
+	n := s.m.N()
+	h := s.m.Bits()
 	inf := ppa.Infinity(h)
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
+	res := &Result{
+		Result: graph.Result{
+			Dest:       dest,
+			Dist:       make([]int64, n),
+			Next:       make([]int, n),
+			Iterations: iterations,
+		},
+		Metrics: met,
+		Bits:    h,
 	}
-	startMetrics := m.Metrics()
+	for i := 0; i < n; i++ {
+		switch {
+		case i == dest:
+			res.Dist[i] = 0
+			res.Next[i] = -1
+		case sow[i] == inf:
+			res.Dist[i] = graph.NoEdge
+			res.Next[i] = -1
+		default:
+			res.Dist[i] = int64(sow[i])
+			res.Next[i] = next[i]
+		}
+	}
+	return res
+}
 
+// maxIter is the DP round bound (Options.MaxIterations, default n+1).
+func (s *Session) maxIter() int {
+	if s.opt.MaxIterations > 0 {
+		return s.opt.MaxIterations
+	}
+	return s.m.N() + 1
+}
+
+// solveProgram runs one destination as the real machine program — the
+// lane for virtualized, switch-only, faulty and PaperInit fabrics and for
+// ReferenceKernels sessions, and the oracle the fused lane is pinned to.
+// A cold solve runs the initialization statements 4-7 on the machine; a
+// warm one DMAs the staged seed into row d (uncharged, like Reload). Row d
+// of SOW and PTN is copied out to the scratch.
+func (s *Session) solveProgram(ctx context.Context, dest int, warm bool) (int, error) {
+	a, sc := s.a, s.scratch()
+	n := s.m.N()
 	rowIsD := s.row.EqConst(ppa.Word(dest))
-	colIsD := s.col.EqConst(ppa.Word(dest))
-	diag := s.diag
+	var colIsD *par.Bool
+	if !warm {
+		colIsD = s.col.EqConst(ppa.Word(dest))
+	}
 	notD := rowIsD.Not()
-
-	W := s.W
 	SOW := a.Zeros()
 	PTN := a.Zeros()
 	MinSOW := a.Zeros() // zero-initialized global: keeps SOW[d][d] pinned to 0
 	OldSOW := a.Zeros()
+	if warm {
+		// PTN's zero seed is fine: the loop only ever writes it, and
+		// canonicalNext supersedes its output.
+		SOW.LoadRow(dest, sc.sow)
+	} else {
+		s.coldInit(dest, rowIsD, colIsD, SOW, PTN)
+		colIsD.Release()
+	}
 
-	// Step 1 — initialization (statements 4-7). The DP needs
-	// SOW[d][j] = w_jd (cost of the 1-edge path j -> d), i.e. column d of
-	// W moved onto row d.
-	if opt.PaperInit {
+	// Step 2 — RMCP computation (statements 8-20).
+	iterations, err := s.runDP(ctx, s.maxIter(), rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
+	if err == nil {
+		for i := 0; i < n; i++ {
+			sc.sow[i] = SOW.At(dest, i)
+			sc.next[i] = int(PTN.At(dest, i))
+		}
+	}
+	OldSOW.Release()
+	MinSOW.Release()
+	PTN.Release()
+	SOW.Release()
+	notD.Release()
+	rowIsD.Release()
+	return iterations, err
+}
+
+// coldInit is step 1 of the paper's program (statements 4-7). The DP
+// needs SOW[d][j] = w_jd (cost of the 1-edge path j -> d), i.e. column d
+// of W moved onto row d; PTN row d starts at d.
+func (s *Session) coldInit(dest int, rowIsD, colIsD *par.Bool, SOW, PTN *par.Var) {
+	a, W := s.a, s.W
+	if s.opt.PaperInit {
 		a.Where(rowIsD, func() {
 			SOW.Assign(W)
 			PTN.AssignConst(ppa.Word(dest))
 		})
 	} else {
-		acrossRows := a.Broadcast(W, ppa.East, colIsD)       // (j, c) <- w_jd
-		ontoRowD := a.Broadcast(acrossRows, ppa.South, diag) // (r, j) <- w_jd
+		acrossRows := a.Broadcast(W, ppa.East, colIsD)         // (j, c) <- w_jd
+		ontoRowD := a.Broadcast(acrossRows, ppa.South, s.diag) // (r, j) <- w_jd
 		a.Where(rowIsD, func() {
 			SOW.Assign(ontoRowD)
 			PTN.AssignConst(ppa.Word(dest))
@@ -362,55 +443,11 @@ func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
 		SOW.AssignConst(0)
 	})
 	atDD.Release()
-
-	// Step 2 — RMCP computation (statements 8-20), shared with the warm
-	// re-solve path.
-	iterations, loopErr := s.runDP(ctx, maxIter, rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
-
-	var res *Result
-	if loopErr == nil {
-		res = &Result{
-			Result: graph.Result{
-				Dest:       dest,
-				Dist:       make([]int64, n),
-				Next:       make([]int, n),
-				Iterations: iterations,
-			},
-			Metrics: m.Metrics().Sub(startMetrics),
-			Bits:    h,
-		}
-		for i := 0; i < n; i++ {
-			sow := SOW.At(dest, i)
-			switch {
-			case i == dest:
-				res.Dist[i] = 0
-				res.Next[i] = -1
-			case sow == inf:
-				res.Dist[i] = graph.NoEdge
-				res.Next[i] = -1
-			default:
-				res.Dist[i] = int64(sow)
-				res.Next[i] = int(PTN.At(dest, i))
-			}
-		}
-	}
-	OldSOW.Release()
-	MinSOW.Release()
-	PTN.Release()
-	SOW.Release()
-	notD.Release()
-	colIsD.Release()
-	rowIsD.Release()
-	if loopErr != nil {
-		return nil, loopErr
-	}
-	return res, nil
 }
 
 // runDP runs the RMCP iteration (statements 8-20) to convergence on
-// already-initialized solution planes — the loop shared by the cold solve
-// (SolveContext) and the warm re-solve (Session.Resolve), which differ
-// only in how SOW and PTN are seeded. Early exits (cancellation,
+// already-initialized solution planes — the machine-program loop of cold
+// and warm solves alike, which differ only in how SOW and PTN are seeded. Early exits (cancellation,
 // non-convergence) return with the error set and all loop temporaries
 // released — a cancelled request must not leak pool storage when its
 // session is reused; the caller still owns the planes it passed in.

@@ -4,15 +4,16 @@ import (
 	"context"
 	"fmt"
 
-	"ppamcp/internal/graph"
 	"ppamcp/internal/ppa"
 )
 
 // This file is the DP half of the incremental re-solve path. Resolve is
 // Solve for dynamic graphs: the first call per destination is exactly a
-// cold solve (same instruction sequence, same Metrics), but the solution
-// is retained, and later calls warm-start the DP from it instead of from
-// the 1-edge seeds.
+// cold solve (same lane, same Metrics), but the solution is retained, and
+// later calls warm-start the DP from it instead of from the 1-edge seeds.
+// Both run through the session's one dispatch (Session.solve): the fused
+// lane on healthy plain machines (solveFused, sweep.go), the machine
+// program (runDP) everywhere else; a warm start only changes the seed.
 //
 // Why warm-starting is sound: the DP round operator
 // T(x)_i = min_j sat(w_ij + x_j) (the self term w_ii = 0 makes rounds
@@ -31,56 +32,14 @@ import (
 // with a tight edge (w_ij + dist_j = dist_i) whose own minimal optimal
 // path uses one edge less (PTN is written only on the round where SOW
 // last strictly improves, and the attaining set at that round is exactly
-// those j). A warm trajectory takes different rounds, so after
-// convergence Resolve reconstructs that canonical choice on the host —
-// a BFS from the destination over reversed tight edges assigns the
-// edge-count levels, then each vertex picks its smallest tight successor
-// one level down — making warm results bit-identical to cold ones, not
-// just cost-equal.
-//
-// Like the batched sweep, the warm path has a fused fast lane
-// (resolveFast): rounds are computed as O(n²) host word scans while every
-// fabric transaction of the reference sequence is shadow-charged
-// (ChargeBroadcast / ChargeWiredOr with the same switch planes, a real
-// GlobalOrBits on the maintained predicate plane) and every SIMD
-// instruction counted, so Metrics, Iterations and the observer event
-// stream are byte-identical to the general warm path (resolveGeneral,
-// which runs the real machine program and serves virtualized, reference,
-// and switch-only fabrics).
-
-// resolveState is the warm-path scratch, allocated on first Resolve and
-// reused for every re-solve thereafter (steady state allocates only the
-// yielded Result).
-type resolveState struct {
-	sow   []ppa.Word // working distances: seed in, converged out
-	rmin  []ppa.Word // per-row candidate minima (fast path)
-	rarg  []int32    // per-row first arg-min (fast path)
-	next  []int32    // canonical next pointers out
-	hops  []int32    // tight-edge BFS levels
-	q     []int32    // BFS queue
-	head  []int32    // shortest-path-tree children lists (invalidation)
-	sib   []int32
-	stack []int32
-}
-
-func (s *Session) resolveScratch() *resolveState {
-	if s.rs != nil {
-		return s.rs
-	}
-	n := s.m.N()
-	s.rs = &resolveState{
-		sow:   make([]ppa.Word, n),
-		rmin:  make([]ppa.Word, n),
-		rarg:  make([]int32, n),
-		next:  make([]int32, n),
-		hops:  make([]int32, n),
-		q:     make([]int32, 0, n),
-		head:  make([]int32, n),
-		sib:   make([]int32, n),
-		stack: make([]int32, 0, n),
-	}
-	return s.rs
-}
+// those j). canonicalNext reconstructs that choice on the host from the
+// converged distances — a BFS from the destination over reversed tight
+// edges assigns the edge-count levels, then each vertex picks its
+// smallest tight successor one level down. The fused lane uses it for
+// every solve, cold or warm (it tracks no PTN at all), and the machine
+// program for warm ones (whose trajectory takes different rounds), so
+// every result is bit-identical to the cold machine program's, not just
+// cost-equal.
 
 // Resolve solves for dest on the session's current graph, warm-starting
 // from the previous Resolve of the same destination when one is retained
@@ -104,23 +63,23 @@ func (s *Session) Resolve(ctx context.Context, dest int) (*Result, error) {
 
 // resolveOne is the shared per-destination dispatch of Resolve and
 // ResolveSweep: warm re-solve when a usable snapshot exists, cold solve
-// (retained for next time) otherwise. allowSkip enables ResolveSweep's
-// skip-converged fast-out (resolvesweep.go); Resolve keeps it off so its
-// per-call contract — the DP runs and Iterations >= 1 — is unchanged.
+// otherwise, retaining the solution for next time. allowSkip enables
+// ResolveSweep's skip-converged fast-out (resolvesweep.go); Resolve keeps
+// it off so its per-call contract — the DP runs and Iterations >= 1 — is
+// unchanged.
 func (s *Session) resolveOne(ctx context.Context, dest int, allowSkip bool) (*Result, error) {
-	if w := s.warmUsable(dest); w != nil {
+	w := s.warmUsable(dest)
+	if w != nil {
 		if allowSkip && !s.warmAffected(dest, w) {
 			return s.emitRetained(dest, w), nil
 		}
-		return s.resolveWarm(ctx, dest, w)
+		// Warm seed: the snapshot, minus what the logged increases may
+		// have broken.
+		sc := s.scratch()
+		copy(sc.sow, w.sow)
+		s.applyIncreases(w, sc)
 	}
-	var r *Result
-	var err error
-	if pm := s.sweepMachine(); pm != nil {
-		r, err = s.solveSweepFast(ctx, pm, dest)
-	} else {
-		r, err = s.SolveContext(ctx, dest)
-	}
+	r, err := s.solve(ctx, dest, w != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -155,65 +114,6 @@ func (s *Session) warmUsable(dest int) *warmDest {
 	return w
 }
 
-// resolveWarm is the warm re-solve: seed from the snapshot, invalidate
-// what the logged increases may have broken, iterate to convergence,
-// reconstruct the canonical next pointers, refresh the snapshot.
-func (s *Session) resolveWarm(ctx context.Context, dest int, w *warmDest) (*Result, error) {
-	n := s.m.N()
-	h := s.m.Bits()
-	inf := ppa.Infinity(h)
-	maxIter := s.opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
-	rs := s.resolveScratch()
-	copy(rs.sow, w.sow)
-	s.applyIncreases(w, rs, inf)
-
-	startMetrics := s.m.Metrics()
-	var iterations int
-	var err error
-	if pm := s.sweepMachine(); pm != nil {
-		iterations, err = s.resolveFast(ctx, pm, dest, rs, maxIter)
-	} else {
-		iterations, err = s.resolveGeneral(ctx, dest, rs, maxIter)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.canonicalNext(dest, rs, inf)
-
-	res := &Result{
-		Result: graph.Result{
-			Dest:       dest,
-			Dist:       make([]int64, n),
-			Next:       make([]int, n),
-			Iterations: iterations,
-		},
-		Metrics: s.m.Metrics().Sub(startMetrics),
-		Bits:    h,
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case i == dest:
-			res.Dist[i] = 0
-			res.Next[i] = -1
-		case rs.sow[i] == inf:
-			res.Dist[i] = graph.NoEdge
-			res.Next[i] = -1
-		default:
-			res.Dist[i] = int64(rs.sow[i])
-			res.Next[i] = int(rs.next[i])
-		}
-	}
-	copy(w.sow, rs.sow)
-	w.sow[dest] = 0
-	copy(w.next, rs.next)
-	w.ver = s.version
-	s.pruneLog()
-	return res, nil
-}
-
 // applyIncreases raises to MAXINT every seed entry whose recorded path may
 // traverse an edge that increased since the snapshot: for each logged
 // increase (u, v) newer than the snapshot (decrease entries in the change
@@ -223,7 +123,7 @@ func (s *Session) resolveWarm(ctx context.Context, dest int, w *warmDest) (*Resu
 // recorded path passes through u). Conservative — a survivor's recorded
 // path avoids all increased edges, so its cost is unchanged and the seed
 // stays an upper bound.
-func (s *Session) applyIncreases(w *warmDest, rs *resolveState, inf ppa.Word) {
+func (s *Session) applyIncreases(w *warmDest, sc *scratch) {
 	applicable := false
 	for _, e := range s.incLog {
 		if e.ver > w.ver && e.inc {
@@ -235,7 +135,8 @@ func (s *Session) applyIncreases(w *warmDest, rs *resolveState, inf ppa.Word) {
 		return
 	}
 	n := s.m.N()
-	head, sib := rs.head, rs.sib
+	inf := ppa.Infinity(s.m.Bits())
+	head, sib := sc.head, sc.sib
 	for i := range head {
 		head[i] = -1
 	}
@@ -245,13 +146,13 @@ func (s *Session) applyIncreases(w *warmDest, rs *resolveState, inf ppa.Word) {
 			head[p] = int32(i)
 		}
 	}
-	stack := rs.stack[:0]
+	stack := sc.stack[:0]
 	for _, e := range s.incLog {
 		if e.ver <= w.ver || !e.inc {
 			continue
 		}
 		u := int(e.u)
-		if w.next[u] != e.v || rs.sow[u] == inf {
+		if w.next[u] != int(e.v) || sc.sow[u] == inf {
 			continue
 		}
 		// Iterative subtree walk; an entry already at MAXINT was either
@@ -260,185 +161,16 @@ func (s *Session) applyIncreases(w *warmDest, rs *resolveState, inf ppa.Word) {
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if rs.sow[x] == inf {
+			if sc.sow[x] == inf {
 				continue
 			}
-			rs.sow[x] = inf
+			sc.sow[x] = inf
 			for c := head[x]; c >= 0; c = sib[c] {
 				stack = append(stack, c)
 			}
 		}
 	}
-	rs.stack = stack[:0]
-}
-
-// resolveGeneral runs the warm DP as the real machine program — the path
-// for virtualized fabrics, reference kernels and the switch-only bus
-// model. Init is two instructions (ROW==d, its negation) plus the
-// row-d seed DMA; the loop is SolveContext's own (runDP).
-func (s *Session) resolveGeneral(ctx context.Context, dest int, rs *resolveState, maxIter int) (int, error) {
-	a := s.a
-	n := s.m.N()
-	rowIsD := s.row.EqConst(ppa.Word(dest))
-	notD := rowIsD.Not()
-	SOW := a.Zeros()
-	PTN := a.Zeros()
-	MinSOW := a.Zeros() // zero row d keeps SOW[d][d] pinned to 0, as in Solve
-	OldSOW := a.Zeros()
-	SOW.LoadRow(dest, rs.sow)
-	// PTN's DP output is superseded by the canonical host reconstruction
-	// (see the file comment), so its zero seed is fine: the loop only ever
-	// writes it.
-	iterations, loopErr := s.runDP(ctx, maxIter, rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
-	if loopErr == nil {
-		for i := 0; i < n; i++ {
-			rs.sow[i] = SOW.At(dest, i)
-		}
-	}
-	OldSOW.Release()
-	MinSOW.Release()
-	PTN.Release()
-	SOW.Release()
-	notD.Release()
-	rowIsD.Release()
-	if loopErr != nil {
-		return 0, loopErr
-	}
-	return iterations, nil
-}
-
-// resolveFast is the fused warm loop: rounds as host word scans over the
-// candidate vectors, every fabric transaction of resolveGeneral's
-// sequence shadow-charged in order with the same switch planes (the
-// attaining-lane sets the walks would leave in `enable` are rebuilt so
-// observer Opens counts match), and the statement-20 predicate resolved
-// by a real global-OR. Metrics/Iterations/event-stream parity with
-// resolveGeneral is pinned by TestResolveFastGeneralParity.
-func (s *Session) resolveFast(ctx context.Context, pm *ppa.Machine, dest int, rs *resolveState, maxIter int) (int, error) {
-	n := s.m.N()
-	h := pm.Bits()
-	hh := int(h)
-	size := int64(n) * int64(n)
-	inf := ppa.Infinity(h)
-	w := s.sweep()
-	W := s.W.Words()
-	diagBits := s.diag.Bits()
-	headBits := s.rowHead.Bits()
-	charge := func(k int) {
-		for i := 0; i < k; i++ {
-			pm.CountInstr()
-			pm.CountPE(size)
-		}
-	}
-
-	// Warm init, shadowing resolveGeneral: selector retarget charged as
-	// the EqConst it replaces, the Not, and the uncharged row-d seed DMA.
-	w.retarget(dest, n)
-	charge(1) // rowIsD = ROW.EqConst(d)
-	charge(1) // notD = rowIsD.Not()
-	copy(w.sowd, rs.sow)
-	w.pred.Fill(false)
-
-	iterations := 0
-	var loopErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			loopErr = err
-			break
-		}
-		iterations++
-		if iterations > maxIter {
-			loopErr = fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
-			break
-		}
-
-		// Statement 10: candidate plane, then each row's minimum and first
-		// arg-min in one scan — the values both bus walks would extract.
-		sweepCand(w.cand, w.sowd, W, dest, n, inf)
-		pm.ChargeBroadcast(ppa.South, w.rowBits)
-		charge(2) // cand = down.AddSat(W); SOW.Assign (where !=d)
-		for i := 0; i < n; i++ {
-			row := w.cand[i*n : i*n+n]
-			mv, ma := row[0], 0
-			for j := 1; j < n; j++ {
-				if row[j] < mv {
-					mv, ma = row[j], j
-				}
-			}
-			rs.rmin[i], rs.rarg[i] = mv, int32(ma)
-		}
-
-		// Statement 11: Min(SOW, WEST, COL==n-1), charge-only walk.
-		charge(hh) // per-plane gathers
-		charge(1)  // enable = True()
-		for j := 0; j < hh; j++ {
-			charge(2) // Not + And(enable)
-			pm.ChargeWiredOr(ppa.West, headBits)
-			charge(2) // And + masked withdraw
-		}
-		charge(1) // result = src.Copy()
-		// After the walk, enable holds every lane attaining its row
-		// minimum — rebuilt so the broadcast event's Opens count matches.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			row := w.cand[i*n : i*n+n]
-			mv := rs.rmin[i]
-			for j, v := range row {
-				if v == mv {
-					w.enable.Set(i*n + j)
-				}
-			}
-		}
-		pm.ChargeBroadcast(ppa.East, w.enable) // survivors send upstream
-		pm.ChargeBroadcast(ppa.West, headBits) // heads spread the minima
-		charge(1)                              // MinSOW.Assign (where !=d)
-		charge(1)                              // sel = rowMin.Eq(SOW)
-
-		// Statement 12: SelectedMin(COL, WEST, COL==n-1, sel).
-		charge(hh) // gathers
-		charge(1)  // enable = sel.Copy()
-		for j := 0; j < hh; j++ {
-			charge(2)
-			pm.ChargeWiredOr(ppa.West, headBits)
-			charge(2)
-		}
-		charge(1) // result = src.Copy()
-		// The column walk leaves exactly the first attaining lane per row.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			w.enable.Set(i*n + int(rs.rarg[i]))
-		}
-		pm.ChargeBroadcast(ppa.East, w.enable)
-		pm.ChargeBroadcast(ppa.West, headBits)
-		charge(1) // PTN.Assign (where !=d)
-
-		// Statements 14-19: fold into row d via the diagonal.
-		pm.ChargeBroadcast(ppa.South, diagBits) // newRow
-		pm.ChargeBroadcast(ppa.South, diagBits) // newPTN
-		charge(4)                               // OldSOW.Assign; SOW.Assign; changed = Ne; PTN.Assign
-		w.pred.FillRange(dest*n, dest*n+n, false)
-		for j := 0; j < n; j++ {
-			nv := rs.rmin[j]
-			if j == dest {
-				nv = 0 // MinSOW[d][d] stays pinned to 0
-			}
-			if nv != w.sowd[j] {
-				w.pred.Set(dest*n + j)
-				w.sowd[j] = nv
-			}
-		}
-
-		// Statement 20: while at least one SOW in row d has changed.
-		charge(2) // ne = SOW.Ne(OldSOW); pred = rowIsD.And(ne)
-		if !pm.GlobalOrBits(w.pred) {
-			break
-		}
-	}
-	if loopErr != nil {
-		return 0, loopErr
-	}
-	copy(rs.sow, w.sowd)
-	return iterations, nil
+	sc.stack = stack[:0]
 }
 
 // canonicalNext rebuilds, from converged distances, the next pointers the
@@ -446,23 +178,24 @@ func (s *Session) resolveFast(ctx context.Context, pm *ppa.Machine, dest int, rs
 // reachable vertex the minimum edge count among its optimal paths, then
 // each vertex takes the smallest tight successor one level down (the
 // attaining set of the round where cold SOW last strictly improved).
-func (s *Session) canonicalNext(dest int, rs *resolveState, inf ppa.Word) {
+func (s *Session) canonicalNext(dest int, sc *scratch) {
 	n := s.m.N()
+	inf := ppa.Infinity(s.m.Bits())
 	W := s.W.Words()
-	hops := rs.hops
+	hops := sc.hops
 	for i := range hops {
 		hops[i] = -1
 	}
 	hops[dest] = 0
-	q := append(rs.q[:0], int32(dest))
+	q := append(sc.q[:0], int32(dest))
 	for qh := 0; qh < len(q); qh++ {
 		j := int(q[qh])
-		dj := rs.sow[j]
+		dj := sc.sow[j]
 		for i := 0; i < n; i++ {
 			if hops[i] >= 0 || i == j {
 				continue
 			}
-			di := rs.sow[i]
+			di := sc.sow[i]
 			if di == inf {
 				continue
 			}
@@ -473,21 +206,21 @@ func (s *Session) canonicalNext(dest int, rs *resolveState, inf ppa.Word) {
 			}
 		}
 	}
-	rs.q = q[:0]
+	sc.q = q[:0]
 	for i := 0; i < n; i++ {
-		if i == dest || rs.sow[i] == inf {
-			rs.next[i] = -1
+		if i == dest || sc.sow[i] == inf {
+			sc.next[i] = -1
 			continue
 		}
-		di := rs.sow[i]
+		di := sc.sow[i]
 		target := hops[i] - 1
-		rs.next[i] = -1 // a tight successor always exists; belt and braces
+		sc.next[i] = -1 // a tight successor always exists; belt and braces
 		for j := 0; j < n; j++ {
 			if j == i || hops[j] != target {
 				continue
 			}
-			if wij := W[i*n+j]; wij != inf && di == wij+rs.sow[j] {
-				rs.next[i] = int32(j)
+			if wij := W[i*n+j]; wij != inf && di == wij+sc.sow[j] {
+				sc.next[i] = j
 				break
 			}
 		}

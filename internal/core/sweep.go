@@ -4,100 +4,103 @@ import (
 	"context"
 	"fmt"
 
-	"ppamcp/internal/graph"
-	"ppamcp/internal/par"
 	"ppamcp/internal/ppa"
 )
 
-// This file is the batched multi-destination sweep driver: one warm
-// session streams the single-destination DP for a whole list of
-// destinations, paying the weight DMA and the session setup once.
+// This file is the fused DP lane and the batched multi-destination sweep
+// driver built on it.
 //
-// The fast path (solveSweepFast) is a fused host execution of exactly the
-// instruction sequence SolveContext issues, under the same shadow-charge
-// discipline as par's fused reductions (par/fused.go): every wired-OR and
-// global-OR is a real fabric transaction, every broadcast whose data
-// movement the host has computed algebraically is charged through
-// ppa.Machine.ChargeBroadcast with the same switch configuration, and
-// every SIMD instruction of the reference pipeline is counted. Metrics,
-// observer event streams, iteration counts and outputs are byte-identical
-// to a sequential Session.Solve loop by construction (pinned by the
-// sweep parity tests).
+// The fused lane (solveFused) is the one host execution of the paper's
+// per-destination DP, taken by cold solves, warm re-solves and sweeps
+// alike on every healthy plain machine (fusedMachine). It computes each
+// round (statements 10-20) as an O(n²) host scan while every fabric
+// transaction of the machine program (runDP) is shadow-charged in order,
+// under the same discipline as par's fused reductions (par/fused.go):
+// each broadcast is charged through ppa.Machine.ChargeBroadcast and each
+// wired-OR of the bit-serial minima through ChargeWiredOr, with the same
+// switch configurations (the attaining-lane sets the walks would leave
+// behind are rebuilt, so observer Opens counts match); the statement-20
+// predicate is resolved by a real GlobalOrBits; and every SIMD
+// instruction of the program is counted. Metrics, Iterations and the
+// observer event stream are therefore byte-identical to the machine
+// program, pinned by the fused/reference parity tests.
 //
-// What makes the sweep cheap is liveness: between iterations the DP's
-// only live machine state is row d of SOW and PTN. Every broadcast the
-// loop issues reads either row d (open = ROW==d) or the diagonal (which
-// reflects row d's update one statement later), and every store to rows
-// != d is overwritten before it is next read. The fast path therefore
-// keeps the DP state as three n-vectors (sowd, ptnd and the candidate
-// row minima), re-materializing the full n x n candidate plane only as
-// packed bit planes for the wired-OR minimum walks — one fused pass that
-// replaces the broadcast + saturating add + masked store + plane-slicing
-// traversals of the general path. The per-destination re-initialization
-// is an incremental plane edit: the ROW==d / COL==d selector planes are
-// retargeted with two stripe edits (FillRange / FillStride) instead of
-// full EqConst rebuilds, charged as the EqConst instructions they shadow.
+// What makes the scan cheap is liveness: between rounds the DP's only
+// live machine state is row d of SOW. Every broadcast the program issues
+// reads either row d (open = ROW==d) or the diagonal (which reflects row
+// d's update one statement later), and every store to rows != d is
+// overwritten before it is next read. The lane therefore keeps the DP
+// state as one n-vector and the per-row minima and first arg-minima. It
+// tracks no PTN: after convergence the next pointers are the canonical
+// ones rebuilt from the distances (canonicalNext, resolve.go), which are
+// exactly what the cold program's PTN holds. A cold solve is the warm
+// path seeded with column d of W plus the charges of the machine's
+// initialization; the per-destination ROW==d / COL==d selector planes
+// are retargeted with stripe edits (FillRange / FillStride), charged as
+// the EqConst rebuilds they replace.
+//
+// The sweep pays the weight DMA and the session setup once and streams
+// the single-destination solve for a whole list of destinations.
 
-// sweepState is the per-session scratch of the fast path, allocated on
-// first use and reused across every destination of every sweep — the
-// steady-state sweep performs O(1) allocations per destination (the
-// Result it yields).
-type sweepState struct {
+// scratch is the per-session host scratch of one destination's solve,
+// allocated on first use and reused across every destination of every
+// solve, sweep and re-solve — the steady state performs O(1) allocations
+// per destination (the Result it yields).
+type scratch struct {
 	dest             int // current selector-plane target (-1 = none yet)
 	rowBits, colBits *ppa.Bitset
-	enable, drive    *ppa.Bitset
-	pred             *ppa.Bitset
-	planes           []uint64 // h candidate bit planes, packed lane order
-	colPlanes        []uint64 // cached bit planes of the COL coordinate
-	cand             []ppa.Word
-	sowd, ptnd       []ppa.Word
-	wpp              int // words per plane
+	enable, pred     *ppa.Bitset
+	cand             []ppa.Word // one candidate row
+	sow              []ppa.Word // row d of SOW: seed in, converged out
+	rmin             []ppa.Word // per-row candidate minima
+	rarg             []int32    // per-row first arg-min
+	next             []int      // next pointers out
+	hops             []int32    // tight-edge BFS levels (canonicalNext)
+	q                []int32    // BFS queue
+	head, sib        []int32    // shortest-path-tree children lists (applyIncreases)
+	stack            []int32
 }
 
-// retarget repoints the cached ROW==d / COL==d selector planes at a new
-// destination with two stripe edits each — the host-side move the fast
-// paths charge as the EqConst rebuilds it replaces.
-func (w *sweepState) retarget(dest, n int) {
-	if w.dest == dest {
-		return
-	}
-	if w.dest >= 0 {
-		w.rowBits.FillRange(w.dest*n, w.dest*n+n, false)
-		w.colBits.FillStride(w.dest, n, n, false)
-	}
-	w.rowBits.FillRange(dest*n, dest*n+n, true)
-	w.colBits.FillStride(dest, n, n, true)
-	w.dest = dest
-}
-
-func (s *Session) sweep() *sweepState {
-	if s.sw != nil {
-		return s.sw
+func (s *Session) scratch() *scratch {
+	if s.sc != nil {
+		return s.sc
 	}
 	n := s.m.N()
 	size := n * n
-	h := int(s.m.Bits())
-	wpp := (size + 63) >> 6
-	w := &sweepState{
-		dest:      -1,
-		rowBits:   ppa.NewBitset(size),
-		colBits:   ppa.NewBitset(size),
-		enable:    ppa.NewBitset(size),
-		drive:     ppa.NewBitset(size),
-		pred:      ppa.NewBitset(size),
-		planes:    make([]uint64, h*wpp),
-		colPlanes: make([]uint64, h*wpp),
-		cand:      make([]ppa.Word, size),
-		sowd:      make([]ppa.Word, n),
-		ptnd:      make([]ppa.Word, n),
-		wpp:       wpp,
+	s.sc = &scratch{
+		dest:    -1,
+		rowBits: ppa.NewBitset(size),
+		colBits: ppa.NewBitset(size),
+		enable:  ppa.NewBitset(size),
+		pred:    ppa.NewBitset(size),
+		cand:    make([]ppa.Word, n),
+		sow:     make([]ppa.Word, n),
+		rmin:    make([]ppa.Word, n),
+		rarg:    make([]int32, n),
+		next:    make([]int, n),
+		hops:    make([]int32, n),
+		q:       make([]int32, 0, n),
+		head:    make([]int32, n),
+		sib:     make([]int32, n),
+		stack:   make([]int32, 0, n),
 	}
-	// COL is constant for the session: slice its planes once instead of
-	// once per SelectedMin (the single hottest traversal of the general
-	// path's profile).
-	par.SlicePlanes(w.colPlanes, s.col.Words(), h, wpp)
-	s.sw = w
-	return w
+	return s.sc
+}
+
+// retarget repoints the cached ROW==d / COL==d selector planes at a new
+// destination with two stripe edits each — the host-side move the fused
+// lane charges as the EqConst rebuilds it replaces.
+func (sc *scratch) retarget(dest, n int) {
+	if sc.dest == dest {
+		return
+	}
+	if sc.dest >= 0 {
+		sc.rowBits.FillRange(sc.dest*n, sc.dest*n+n, false)
+		sc.colBits.FillStride(sc.dest, n, n, false)
+	}
+	sc.rowBits.FillRange(dest*n, dest*n+n, true)
+	sc.colBits.FillStride(dest, n, n, true)
+	sc.dest = dest
 }
 
 // DestError is the typed validation error SolveSweep and ResolveSweep
@@ -162,17 +165,7 @@ func (s *Session) SolveSweep(ctx context.Context, dests []int, yield func(*Resul
 		return err
 	}
 	for _, d := range dests {
-		var r *Result
-		var err error
-		if pm := s.sweepMachine(); pm != nil {
-			r, err = s.solveSweepFast(ctx, pm, d)
-		} else {
-			// General path: virtualized fabrics, injected faults, the
-			// switch-only bus model, reference kernels and the paper's
-			// verbatim init all run the reference instruction sequence —
-			// trivially parity-exact.
-			r, err = s.SolveContext(ctx, d)
-		}
+		r, err := s.SolveContext(ctx, d)
 		if err != nil {
 			return err
 		}
@@ -183,11 +176,13 @@ func (s *Session) SolveSweep(ctx context.Context, dests []int, yield func(*Resul
 	return nil
 }
 
-// sweepMachine returns the plain machine the fused sweep path may drive,
-// or nil when the reference sequence must run. Re-checked per destination
-// so a fault injected mid-sweep (e.g. from a yield callback) demotes the
-// remainder of the sweep to the reference path, mirroring fusedOn.
-func (s *Session) sweepMachine() *ppa.Machine {
+// fusedMachine returns the plain machine the fused lane may drive, or nil
+// when the machine program must run: virtualized fabrics, injected
+// faults, the switch-only bus model, reference kernels and the paper's
+// verbatim init. Re-checked per destination, so a fault injected
+// mid-sweep (e.g. from a yield callback) demotes the remainder of the
+// sweep to the machine program, mirroring par's fusedOn.
+func (s *Session) fusedMachine() *ppa.Machine {
 	if s.opt.SwitchOnlyBus || s.opt.ReferenceKernels || s.opt.PaperInit || !s.a.Fused() {
 		return nil
 	}
@@ -198,199 +193,148 @@ func (s *Session) sweepMachine() *ppa.Machine {
 	return pm
 }
 
-// sweepCand computes the statement-10 candidate plane
-// cand(i, j) = sat(SOW[d][j] + w_ij) for i != d, with row d holding
-// SOW[d] itself (the masked store skips it) — the fused equivalent of
-// broadcast-South + AddSat + Assign-where-not-d.
-func sweepCand(dst, sowd, w []ppa.Word, d, n int, inf ppa.Word) {
-	for i := 0; i < n; i++ {
-		row := dst[i*n : i*n+n]
-		if i == d {
-			copy(row, sowd)
-			continue
-		}
-		wrow := w[i*n : i*n+n]
-		for j, wv := range wrow {
-			sv := sowd[j] + wv // lanes are in [0, inf]: no overflow
-			if sv > inf {
-				sv = inf
-			}
-			row[j] = sv
-		}
-	}
-}
-
-// solveSweepFast is one destination of the fused sweep (see the file
-// comment for the discipline and the liveness argument).
-func (s *Session) solveSweepFast(ctx context.Context, pm *ppa.Machine, dest int) (*Result, error) {
-	g := s.g
-	n := g.N
-	if dest < 0 || dest >= n {
-		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, n)
-	}
+// solveFused runs one destination's DP in the fused lane (see the file
+// comment), leaving the converged row d of SOW in the scratch's sow. A
+// warm solve starts from the sow already staged there; a cold one seeds
+// it with the 1-edge costs w_jd.
+func (s *Session) solveFused(ctx context.Context, pm *ppa.Machine, dest int, warm bool) (int, error) {
+	n := pm.N()
 	h := pm.Bits()
-	hh := int(h)
-	size := int64(n) * int64(n)
 	inf := ppa.Infinity(h)
-	maxIter := s.opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
-	w := s.sweep()
+	maxIter := s.maxIter()
+	sc := s.scratch()
+	sow := sc.sow
 	W := s.W.Words()
 	diagBits := s.diag.Bits()
 	headBits := s.rowHead.Bits()
-	// charge mirrors par.Array.instr k times: one controller instruction,
-	// executed by all n*n PEs.
+	// charge counts k SIMD instructions of the machine program, each
+	// executed by all n*n PEs (par.Array.instr). Instructions raise no
+	// observer events, so each step's are charged in one call.
+	size := int64(n) * int64(n)
 	charge := func(k int) {
 		for i := 0; i < k; i++ {
 			pm.CountInstr()
-			pm.CountPE(size)
 		}
+		pm.CountPE(int64(k) * size)
 	}
-	startMetrics := pm.Metrics()
-
-	// Per-solve init, shadowing SolveContext statements 4-7. The selector
-	// planes are retargeted with stripe edits; the charges are those of
-	// the EqConst rebuilds they replace.
-	w.retarget(dest, n)
-	charge(2) // rowIsD = ROW.EqConst(d); colIsD = COL.EqConst(d)
-	charge(1) // notD = rowIsD.Not()
-	// Corrected init: column d of W moved onto row d (two bus cycles),
-	// SOW[d][d] pinned to 0, PTN row d seeded with d.
-	for j := 0; j < n; j++ {
-		w.sowd[j] = W[j*n+dest]
-		w.ptnd[j] = ppa.Word(dest)
+	// One bit-serial reduction (par.Array.Min / SelectedMin): h per-plane
+	// gathers, the enable set-up (True or sel.Copy), four instructions and
+	// one wired-OR per plane, and the result copy — then the two spreading
+	// broadcasts. enable is the attaining-lane set the walk leaves behind.
+	hh := int(h)
+	reduce := func(enable *ppa.Bitset) {
+		charge(hh + 1)
+		for j := 0; j < hh; j++ {
+			pm.ChargeWiredOr(ppa.West, headBits)
+			charge(4)
+		}
+		charge(1)
+		pm.ChargeBroadcast(ppa.East, enable)   // survivors send upstream
+		pm.ChargeBroadcast(ppa.West, headBits) // heads spread the result
 	}
-	w.sowd[dest] = 0
-	pm.ChargeBroadcast(ppa.East, w.colBits) // acrossRows: (j, c) <- w_jd
-	pm.ChargeBroadcast(ppa.South, diagBits) // ontoRowD: (r, j) <- w_jd
-	charge(2)                               // SOW.Assign; PTN.AssignConst (where ROW==d)
-	charge(1)                               // atDD = rowIsD.And(colIsD)
-	charge(1)                               // SOW.AssignConst(0) (where atDD)
-	w.pred.Fill(false)
 
-	ew, dw := w.enable.Words(), w.drive.Words()
+	sc.retarget(dest, n)
+	if warm {
+		charge(2) // rowIsD = ROW.EqConst(d); notD = rowIsD.Not()
+	} else {
+		// Statements 4-7: rowIsD, colIsD (two EqConst) and notD; column d
+		// of W moved onto row d by two broadcasts; SOW and PTN stored
+		// where ROW==d; atDD = rowIsD.And(colIsD); SOW[d][d] = 0.
+		charge(3)
+		for j := 0; j < n; j++ {
+			sow[j] = W[j*n+dest]
+		}
+		sow[dest] = 0
+		pm.ChargeBroadcast(ppa.East, sc.colBits)
+		pm.ChargeBroadcast(ppa.South, diagBits)
+		charge(4)
+	}
+	sc.pred.Fill(false)
+
 	iterations := 0
-	var loopErr error
 	for {
 		if err := ctx.Err(); err != nil {
-			loopErr = err
-			break
+			return 0, err
 		}
 		iterations++
 		if iterations > maxIter {
-			loopErr = fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
-			break
+			return 0, fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
 		}
 
-		// Statement 10, fused: candidate plane sliced straight into bit
-		// planes for the minimum walk.
-		sweepCand(w.cand, w.sowd, W, dest, n, inf)
-		par.SlicePlanes(w.planes, w.cand, hh, w.wpp)
-		pm.ChargeBroadcast(ppa.South, w.rowBits) // down = broadcast(SOW, SOUTH, ROW==d)
-		charge(2)                                // cand = down.AddSat(W); SOW.Assign (where !=d)
-
-		// Statement 11: Min(SOW, WEST, COL==n-1) — the fused walk of
-		// par.fusedReduce with the gathers pre-done by SlicePlanes.
-		charge(hh) // per-plane BitPlane gathers
-		w.enable.Fill(true)
-		charge(1) // enable = True()
-		for j := hh - 1; j >= 0; j-- {
-			pw := w.planes[j*w.wpp : (j+1)*w.wpp]
-			for k, e := range ew {
-				dw[k] = ^pw[k] & e
+		// Statement 10: down = broadcast(SOW, SOUTH, ROW==d); the
+		// candidate plane cand = down.AddSat(W) is stored where ROW != d.
+		// Row i's candidates are sat(SOW[d][j] + w_ij); row d keeps SOW[d]
+		// (the masked store skips it). One scan per row yields its minimum
+		// and first arg-min — the values both bus walks would extract —
+		// and the lanes attaining the minimum.
+		pm.ChargeBroadcast(ppa.South, sc.rowBits)
+		charge(2)
+		sc.enable.Fill(false)
+		for i := 0; i < n; i++ {
+			c := sc.cand
+			if i == dest {
+				copy(c, sow)
+			} else {
+				for j, wv := range W[i*n : i*n+n] {
+					v := sow[j] + wv // lanes are in [0, inf]: no overflow
+					if v > inf {
+						v = inf
+					}
+					c[j] = v
+				}
 			}
-			charge(2) // Not + And(enable)
-			pm.WiredOrBits(ppa.West, headBits, w.drive, w.drive)
-			for k, dv := range dw {
-				ew[k] &^= dv & pw[k]
+			mv, ma := c[0], 0
+			for j := 1; j < n; j++ {
+				if c[j] < mv {
+					mv, ma = c[j], j
+				}
 			}
-			charge(2) // And + masked withdraw
+			for j := ma; j < n; j++ {
+				if c[j] == mv {
+					sc.enable.Set(i*n + j)
+				}
+			}
+			sc.rmin[i], sc.rarg[i] = mv, int32(ma)
 		}
-		charge(1)                              // result = src.Copy()
-		pm.ChargeBroadcast(ppa.East, w.enable) // survivors send upstream
-		pm.ChargeBroadcast(ppa.West, headBits) // heads spread the minima
-		charge(1)                              // MinSOW.Assign (where !=d)
-		charge(1)                              // sel = rowMin.Eq(SOW)
 
-		// Statement 12: SelectedMin(COL, WEST, COL==n-1, sel). The
-		// survivors of the minimum walk are exactly sel, so the walk
-		// continues in place over the cached column planes.
-		charge(hh) // gathers
-		charge(1)  // enable = sel.Copy()
-		for j := hh - 1; j >= 0; j-- {
-			pw := w.colPlanes[j*w.wpp : (j+1)*w.wpp]
-			for k, e := range ew {
-				dw[k] = ^pw[k] & e
-			}
-			charge(2)
-			pm.WiredOrBits(ppa.West, headBits, w.drive, w.drive)
-			for k, dv := range dw {
-				ew[k] &^= dv & pw[k]
-			}
-			charge(2)
+		// Statement 11: MIN_SOW = min(SOW, WEST, COL==n-1), then
+		// MinSOW.Assign (where ROW != d) and sel = rowMin.Eq(SOW).
+		reduce(sc.enable)
+		charge(2)
+
+		// Statement 12: PTN = selected_min(COL, WEST, COL==n-1, sel) —
+		// the walk leaves exactly the first attaining lane per row — then
+		// PTN.Assign (where ROW != d).
+		sc.enable.Fill(false)
+		for i := 0; i < n; i++ {
+			sc.enable.Set(i*n + int(sc.rarg[i]))
 		}
-		charge(1)                              // result = src.Copy()
-		pm.ChargeBroadcast(ppa.East, w.enable) // single survivor per row
-		pm.ChargeBroadcast(ppa.West, headBits)
-		charge(1) // PTN.Assign (where !=d)
+		reduce(sc.enable)
+		charge(1)
 
-		// Statements 14-19: fold the per-row minima back into row d via
-		// the diagonal; update PTN where the cost improved. After both
-		// walks each row's enable holds exactly the first lane attaining
-		// the row minimum: its column is the SelectedMin result and its
-		// candidate value the Min result.
-		pm.ChargeBroadcast(ppa.South, diagBits) // newRow
-		pm.ChargeBroadcast(ppa.South, diagBits) // newPTN
-		charge(4)                               // OldSOW.Assign; SOW.Assign; changed = Ne; PTN.Assign
-		w.pred.FillRange(dest*n, dest*n+n, false)
+		// Statements 14-19: fold the row minima into row d via the
+		// diagonal (newRow, newPTN); OldSOW.Assign, SOW.Assign, changed =
+		// Ne and PTN.Assign where ROW == d.
+		pm.ChargeBroadcast(ppa.South, diagBits)
+		pm.ChargeBroadcast(ppa.South, diagBits)
+		charge(4)
+		sc.pred.FillRange(dest*n, dest*n+n, false)
 		for j := 0; j < n; j++ {
-			jf := w.enable.NextSet(j*n, j*n+n)
-			nv := w.cand[jf]
+			nv := sc.rmin[j]
 			if j == dest {
 				nv = 0 // MinSOW[d][d] stays pinned to 0
 			}
-			if nv != w.sowd[j] {
-				w.pred.Set(dest*n + j)
-				w.ptnd[j] = ppa.Word(jf - j*n)
-				w.sowd[j] = nv
+			if nv != sow[j] {
+				sc.pred.Set(dest*n + j)
+				sow[j] = nv
 			}
 		}
 
-		// Statement 20: while at least one SOW in row d has changed.
-		charge(2) // ne = SOW.Ne(OldSOW); pred = rowIsD.And(ne)
-		if !pm.GlobalOrBits(w.pred) {
-			break
+		// Statement 20: ne = SOW.Ne(OldSOW); pred = rowIsD.And(ne); loop
+		// while at least one SOW in row d has changed.
+		charge(2)
+		if !pm.GlobalOrBits(sc.pred) {
+			return iterations, nil
 		}
 	}
-	if loopErr != nil {
-		return nil, loopErr
-	}
-
-	res := &Result{
-		Result: graph.Result{
-			Dest:       dest,
-			Dist:       make([]int64, n),
-			Next:       make([]int, n),
-			Iterations: iterations,
-		},
-		Metrics: pm.Metrics().Sub(startMetrics),
-		Bits:    h,
-	}
-	for i := 0; i < n; i++ {
-		sow := w.sowd[i]
-		switch {
-		case i == dest:
-			res.Dist[i] = 0
-			res.Next[i] = -1
-		case sow == inf:
-			res.Dist[i] = graph.NoEdge
-			res.Next[i] = -1
-		default:
-			res.Dist[i] = int64(sow)
-			res.Next[i] = int(w.ptnd[i])
-		}
-	}
-	return res, nil
 }

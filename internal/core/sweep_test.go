@@ -32,7 +32,8 @@ func sweepAll(t *testing.T, s *Session) []*Result {
 
 // TestSolveSweepParity pins the sweep contract: for every destination,
 // SolveSweep yields Dist, Next, Iterations, Bits *and every cycle counter*
-// byte-identical to a sequential Session.Solve loop — across graph
+// byte-identical to a sequential Session.Solve loop on the machine
+// program (ReferenceKernels) — across graph
 // families, word widths, worker counts, both bus models, both kernel
 // strategies, the paper's verbatim init and block-mapped (virtualized)
 // fabrics. This is the same parity discipline the fused kernels and the
@@ -64,7 +65,11 @@ func TestSolveSweepParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: sweep session: %v", gname, oname, err)
 			}
-			sq, err := NewSession(g, opt)
+			// The sequential oracle runs the machine program: default
+			// sessions would otherwise compare the fused lane with itself.
+			seqOpt := opt
+			seqOpt.ReferenceKernels = true
+			sq, err := NewSession(g, seqOpt)
 			if err != nil {
 				t.Fatalf("%s/%s: sequential session: %v", gname, oname, err)
 			}
@@ -147,7 +152,7 @@ func TestSolveSweepFaultParity(t *testing.T) {
 // TestSolveSweepEventStreamParity pins the strongest form of the shadow
 // discipline: the machine's observer must see the *same transaction
 // stream* — op kinds, directions and Open counts, in order — from a sweep
-// as from the equivalent sequential loop. This is what makes the
+// as from the equivalent sequential loop on the machine program. This is what makes the
 // shadow-charged broadcasts indistinguishable from executed ones.
 func TestSolveSweepEventStreamParity(t *testing.T) {
 	g := graph.GenRandomConnected(8, 0.4, 20, 9)
@@ -166,7 +171,7 @@ func TestSolveSweepEventStreamParity(t *testing.T) {
 	defer sw.Close()
 	mSeq := ppa.New(g.N, h)
 	seqEvs := record(mSeq)
-	sq, err := NewSessionOn(mSeq, g, Options{})
+	sq, err := NewSessionOn(mSeq, g, Options{ReferenceKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}

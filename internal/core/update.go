@@ -43,7 +43,7 @@ type incEntry struct {
 type warmDest struct {
 	ver  uint64
 	sow  []ppa.Word
-	next []int32
+	next []int
 }
 
 // maxIncLog bounds the change log. A session whose warm snapshots are
@@ -161,7 +161,7 @@ func (s *Session) retain(dest int, r *Result) {
 	if w == nil {
 		w = &warmDest{
 			sow:  make([]ppa.Word, n),
-			next: make([]int32, n),
+			next: make([]int, n),
 		}
 		s.warm[dest] = w
 	}
@@ -174,7 +174,7 @@ func (s *Session) retain(dest int, r *Result) {
 		default:
 			w.sow[i] = ppa.Word(r.Dist[i])
 		}
-		w.next[i] = int32(r.Next[i])
+		w.next[i] = r.Next[i]
 	}
 	w.ver = s.version
 	s.pruneLog()

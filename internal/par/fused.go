@@ -49,16 +49,6 @@ func (a *Array) SetFused(on bool) { a.fused = on }
 // Fused reports whether the fused kernels are enabled.
 func (a *Array) Fused() bool { return a.fused }
 
-// SlicePlanes transposes the h bit planes of src into packed row-major
-// planes: plane j occupies planes[j*wpp : (j+1)*wpp] with 64 lanes per
-// word, the same lane order as a ppa.Bitset; wpp is the word count per
-// plane, (len(src)+63)/64. Exported for fused host drivers outside the
-// package (core's batched sweep slices constant coordinate planes once
-// and caches them across a whole sweep).
-func SlicePlanes(planes []uint64, src []ppa.Word, h, wpp int) {
-	slicePlanes(planes, src, h, wpp)
-}
-
 // slicePlanes transposes the h bit planes of src into packed row-major
 // planes: plane j occupies planes[j*wpp : (j+1)*wpp], 64 lanes per word,
 // same lane order as a Bitset. One traversal of src covers all planes.
