@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzUpdateResolve -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResolveSweep -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/serve/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -495,13 +495,12 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	if rt.down.Load() {
 		return rt.writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
+	raw, status, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
-		return rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return rt.writeError(w, status, "%v", err)
 	}
-	var req serve.SolveRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	req, err := serve.DecodeSolveRequest(raw)
+	if err != nil {
 		return rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Dests) == 0 {

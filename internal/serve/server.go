@@ -417,9 +417,12 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	var req SolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return writeError(w, status, "%v", err)
+	}
+	req, err := DecodeSolveRequest(body)
+	if err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	g, err := req.BuildGraph(s.cfg.MaxVertices)
@@ -506,11 +509,15 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	var req AllPairsRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return writeError(w, status, "%v", err)
+	}
+	sr, err := DecodeSolveRequest(body)
+	if err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
+	req := AllPairsRequest(sr)
 	g, err := req.BuildGraph(s.cfg.MaxVertices)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)

@@ -13,6 +13,7 @@ import (
 
 	"ppamcp/internal/core"
 	"ppamcp/internal/graph"
+	"ppamcp/internal/jsonscan"
 	"ppamcp/internal/ppa"
 )
 
@@ -47,47 +48,48 @@ type SessionCreateRequest struct {
 	Bits     uint            `json:"bits,omitempty"`
 }
 
-// sessionCreateWire is the raw JSON shape of SessionCreateRequest: dests
-// needs a custom decode to accept both a list and the "all" keyword.
-type sessionCreateWire struct {
-	Graph json.RawMessage `json:"graph,omitempty"`
-	Gen   json.RawMessage `json:"gen,omitempty"`
-	Dests json.RawMessage `json:"dests"`
-	Bits  uint            `json:"bits,omitempty"`
-}
-
-func (r *SessionCreateRequest) UnmarshalJSON(b []byte) error {
-	var w sessionCreateWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
+// decodeSessionCreateRequest decodes a POST /v1/session body with the
+// envelope decoder; dests is either a list or the keyword "all".
+func decodeSessionCreateRequest(body []byte) (SessionCreateRequest, error) {
+	env, dests, err := decodeEnvelope(body, true)
+	if err != nil {
+		return SessionCreateRequest{}, err
 	}
-	*r = SessionCreateRequest{Graph: w.Graph, Gen: w.Gen, Bits: w.Bits}
-	if len(w.Dests) == 0 || string(w.Dests) == "null" {
-		return nil
+	req := SessionCreateRequest{Graph: env.Graph, Gen: env.Gen, Bits: env.Bits}
+	s := jsonscan.New(dests)
+	if dests == nil || s.Null() {
+		return req, nil
 	}
-	var kw string
-	if err := json.Unmarshal(w.Dests, &kw); err == nil {
-		if kw != "all" {
-			return fmt.Errorf(`dests: unknown keyword %q (want "all" or a destination list)`, kw)
-		}
-		r.AllDests = true
-		return nil
-	}
-	return json.Unmarshal(w.Dests, &r.Dests)
-}
-
-func (r SessionCreateRequest) MarshalJSON() ([]byte, error) {
-	w := sessionCreateWire{Graph: r.Graph, Gen: r.Gen, Bits: r.Bits}
-	if r.AllDests {
-		w.Dests = json.RawMessage(`"all"`)
-	} else {
-		b, err := json.Marshal(r.Dests)
+	if s.Peek() == '"' {
+		kw, err := s.String()
 		if err != nil {
-			return nil, err
+			return SessionCreateRequest{}, err
 		}
-		w.Dests = b
+		if kw != "all" {
+			return SessionCreateRequest{}, fmt.Errorf(`dests: unknown keyword %q (want "all" or a destination list)`, kw)
+		}
+		req.AllDests = true
+		return req, nil
 	}
-	return json.Marshal(w)
+	if req.Dests, err = jsonscan.Ints[int](s, nil); err != nil {
+		return SessionCreateRequest{}, err
+	}
+	return req, nil
+}
+
+// MarshalJSON writes the wire form: dests is the list, or "all" when
+// AllDests is set.
+func (r SessionCreateRequest) MarshalJSON() ([]byte, error) {
+	var dests any = r.Dests
+	if r.AllDests {
+		dests = "all"
+	}
+	return json.Marshal(struct {
+		Graph json.RawMessage `json:"graph,omitempty"`
+		Gen   json.RawMessage `json:"gen,omitempty"`
+		Dests any             `json:"dests"`
+		Bits  uint            `json:"bits,omitempty"`
+	}{r.Graph, r.Gen, dests, r.Bits})
 }
 
 // SessionCreated is the body of a successful POST /v1/session.
@@ -263,9 +265,12 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	var req SessionCreateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return writeError(w, status, "%v", err)
+	}
+	req, err := decodeSessionCreateRequest(body)
+	if err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	sr := SolveRequest{Graph: req.Graph, Gen: req.Gen}
@@ -474,9 +479,12 @@ func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
 	if ls == nil {
 		return writeError(w, http.StatusNotFound, "no such session")
 	}
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		return writeError(w, status, "%v", err)
+	}
 	var req SessionUpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Updates) == 0 {

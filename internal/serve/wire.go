@@ -4,7 +4,7 @@
 //
 // The core observation is that core.Session already splits the work the
 // way a server wants it split: building an n x n machine is costly, while
-// a warm Solve is cheap (~1.8 ms at n=64). The service therefore keeps a
+// a warm Solve is cheap (~0.1 ms at n=64). The service therefore keeps a
 // pool of warm sessions keyed by array size n and word width h, re-loads
 // a checked-out session with each request's weights (Session.Reload, no
 // re-allocation), and coalesces queued requests for the *same* graph into
@@ -24,10 +24,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 
 	"ppamcp/internal/cli"
 	"ppamcp/internal/graph"
+	"ppamcp/internal/jsonscan"
 	"ppamcp/internal/ppa"
 )
 
@@ -59,22 +63,7 @@ func (r *SolveRequest) BuildGraph(maxN int) (*graph.Graph, error) {
 	case len(r.Graph) > 0 && len(r.Gen) > 0:
 		return nil, fmt.Errorf("request has both graph and gen; want exactly one")
 	case len(r.Graph) > 0:
-		// Probe the header first: an inline {"n": 8192} with no edges is a
-		// few bytes of JSON but an n^2 matrix on the heap.
-		var probe struct {
-			N int `json:"n"`
-		}
-		if err := json.Unmarshal(r.Graph, &probe); err != nil {
-			return nil, fmt.Errorf("graph: %v", err)
-		}
-		if probe.N > maxN {
-			return nil, fmt.Errorf("graph: n = %d exceeds server limit %d", probe.N, maxN)
-		}
-		g := new(graph.Graph)
-		if err := json.Unmarshal(r.Graph, g); err != nil {
-			return nil, err
-		}
-		return g, nil
+		return graph.DecodeJSON(r.Graph, maxN)
 	case len(r.Gen) > 0:
 		w := cli.Default()
 		if err := json.Unmarshal(r.Gen, &w); err != nil {
@@ -95,6 +84,76 @@ func (r *SolveRequest) BuildGraph(maxN int) (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("request needs a graph or a gen spec")
 	}
+}
+
+// DecodeSolveRequest decodes a POST /v1/solve body in one pass without
+// reflection: it accepts exactly the bodies json.Unmarshal accepts into a
+// SolveRequest (trailing data included, so that is rejected) and yields
+// the same values. Graph and Gen are sub-slices of body, validated but
+// not yet decoded; BuildGraph decodes them. A POST /v1/allpairs body has
+// the same fields and decodes as AllPairsRequest(req).
+func DecodeSolveRequest(body []byte) (SolveRequest, error) {
+	req, _, err := decodeEnvelope(body, false)
+	return req, err
+}
+
+// decodeEnvelope reads the fields shared by the graph-carrying request
+// bodies. A session-create body has no timeout_ms, and its dests value
+// (a list or the "all" keyword) is returned raw, last key winning.
+// Otherwise dests decodes in place, as encoding/json decodes a repeated
+// key into the same slice.
+func decodeEnvelope(body []byte, session bool) (req SolveRequest, dests []byte, err error) {
+	s := jsonscan.New(body)
+	if !s.Null() {
+		if s.Peek() != '{' {
+			return req, nil, s.TypeError("serve.SolveRequest")
+		}
+		err = s.Object(func(key []byte) error {
+			var err error
+			switch {
+			case jsonscan.KeyIs(key, "graph"):
+				req.Graph, err = s.Skip()
+			case jsonscan.KeyIs(key, "gen"):
+				req.Gen, err = s.Skip()
+			case jsonscan.KeyIs(key, "dests") && session:
+				dests, err = s.Skip()
+			case jsonscan.KeyIs(key, "dests"):
+				req.Dests, err = jsonscan.Ints(s, req.Dests)
+			case jsonscan.KeyIs(key, "bits"):
+				if !s.Null() {
+					var b uint64
+					b, err = s.Uint()
+					req.Bits = uint(b)
+				}
+			case jsonscan.KeyIs(key, "timeout_ms") && !session:
+				if !s.Null() {
+					req.TimeoutMS, err = s.Int()
+				}
+			default:
+				_, err = s.Skip()
+			}
+			return err
+		})
+		if err != nil {
+			return req, nil, err
+		}
+	}
+	return req, dests, s.End()
+}
+
+// ReadBody reads a request body whole, capped at limit bytes. On failure
+// it also returns the status to answer with: 413 for a body over the cap,
+// 400 for any other read error.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	return body, http.StatusOK, nil
 }
 
 // DestResult is the solution for one destination: Dist[i] is the minimum
