@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-json bench-fleet-json pprof tables fuzz examples serve route loadtest loadtest-json clean
+.PHONY: all build vet test race cover bench bench-fleet-json pprof tables golden fuzz examples serve route loadtest loadtest-json clean
 
 all: build vet test
 
@@ -24,23 +24,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Machine-readable benchmark snapshot for the current PR: E1-E6 cycle
-# tables plus the wall-clock rows, including the incremental re-solve
-# curve (k weight edits through Session.Update + warm Resolve vs the same
-# edits replayed as full Reload + cold Solve, k in {1, 4, 16, 64}) and
-# the warm incremental all-pairs curve (Update + ResolveSweep over all 64
-# destinations vs Reload + cold SolveSweep, same k values).
-bench-json:
-	$(GO) run ./cmd/benchtab -json > BENCH_PR10.json
-
 # Fleet scaling benchmark behind the consistent-hash router: for each
 # fleet size boot that many in-process ppaserved backends behind an
 # in-process pparouter and run a cache-miss row (backend scaling) and a
 # Zipf row (front-door cache). -backend-delay emulates fixed per-batch
 # device occupancy so the scaling curve is measurable on small hosts.
+# Prints the JSON report to stdout.
 bench-fleet-json:
 	$(GO) run ./cmd/ppaload -fleet 1,2,4 -gen connected -n 32 -seed 1 \
-		-graphs 32 -c 32 -requests 8 -dests 1 -backend-delay 16ms -json > BENCH_PR7.json
+		-graphs 32 -c 32 -requests 8 -dests 1 -backend-delay 16ms -json
 
 # CPU profile of the simulator's hot path (repeated n=64 session solves);
 # inspect with `go tool pprof solve.pprof`.
@@ -62,11 +54,11 @@ route:
 loadtest:
 	$(GO) run ./cmd/ppaload -selfserve -gen connected -n 64 -seed 7 -c 32 -requests 10
 
-# Machine-readable serving throughput snapshot.
+# Machine-readable serving throughput report, printed to stdout.
 loadtest-json:
-	$(GO) run ./cmd/ppaload -selfserve -gen connected -n 64 -seed 7 -c 32 -requests 10 -json > BENCH_PR2.json
+	$(GO) run ./cmd/ppaload -selfserve -gen connected -n 64 -seed 7 -c 32 -requests 10 -json
 
-# Regenerate every experiment table (E1-E8); see EXPERIMENTS.md.
+# Regenerate every experiment table (E1-E9); see EXPERIMENTS.md.
 tables:
 	$(GO) run ./cmd/benchtab
 

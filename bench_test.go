@@ -5,8 +5,15 @@ package ppamcp
 // architecture), the abstract machine cost as custom metrics — those are
 // the numbers EXPERIMENTS.md compares against the paper's claims.
 // Regenerate the full tables with: go run ./cmd/benchtab
+//
+// The Benchmark*WallClock, BenchmarkUpdateResolve and
+// BenchmarkResolveSweep curves time the simulator on the host; repeat
+// them with -count and quote the spread:
+//
+//	go test -run '^$' -bench <pattern> -count 10 .
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -215,6 +222,7 @@ func BenchmarkSolveWallClock(b *testing.B) {
 	g := graph.GenRandomConnected(64, 0.3, 9, 5)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n=64/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Solve(g, 1, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
@@ -222,49 +230,228 @@ func BenchmarkSolveWallClock(b *testing.B) {
 			}
 		})
 	}
-	b.Run("n=64/session", func(b *testing.B) {
-		s, err := core.NewSession(g, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Solve(1); err != nil {
+	session := func(name string, opt core.Options) {
+		b.Run(name, func(b *testing.B) {
+			s, err := core.NewSession(g, opt)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Solve(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	session("n=64/session", core.Options{})
 	// The interpretive-kernel ablation of the same session path: the gap
 	// to n=64/session is what the fused bit-sliced kernels buy.
-	b.Run("n=64/session-reference", func(b *testing.B) {
-		s, err := core.NewSession(g, core.Options{ReferenceKernels: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Solve(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	session("n=64/session-reference", core.Options{ReferenceKernels: true})
 	// Virtualization curve: the same warm-session workload block-mapped
 	// onto an m x m physical array (k = 64/m within-block planes per
 	// logical transaction). phys=64 is the k=1 sanity point (direct
 	// execution).
 	for _, phys := range []int{64, 32, 16, 8} {
-		b.Run(fmt.Sprintf("n=64/virt-m=%d", phys), func(b *testing.B) {
-			b.ReportAllocs()
-			s, err := core.NewSession(g, core.Options{PhysicalSide: phys})
+		session(fmt.Sprintf("n=64/virt-m=%d", phys), core.Options{PhysicalSide: phys})
+	}
+}
+
+// allDests lists every vertex of an n-vertex graph as a destination.
+func allDests(n int) []int {
+	dests := make([]int, n)
+	for d := range dests {
+		dests[d] = d
+	}
+	return dests
+}
+
+func discard(*core.Result) error { return nil }
+
+// BenchmarkAllPairsWallClock times a full all-pairs table: one warm
+// SolveSweep over all n destinations vs the same table solved one warm
+// destination at a time. Both run the same fused DP lane, so the
+// per-destination row is the control for the sweep driver's own
+// overhead.
+func BenchmarkAllPairsWallClock(b *testing.B) {
+	for _, n := range []int{16, 32, 64} {
+		g := graph.GenRandomConnected(n, 0.3, 9, 5)
+		dests := allDests(n)
+		b.Run(fmt.Sprintf("n=%d/per-destination", n), func(b *testing.B) {
+			s, err := core.NewSession(g, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				for _, d := range dests {
+					if _, err := s.Solve(d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/sweep", n), func(b *testing.B) {
+			s, err := core.NewSession(g, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.SolveSweep(context.Background(), dests, discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// weightRewrites returns the update stream of the incremental curves:
+// batch tick rewrites k edges of g, rotating over its edge list. The new
+// weight w' = (w mod 9) + 1 always differs from the current w and never
+// deletes an edge, so every edit is effective and a warm and a cold row
+// fed the same ticks see step-for-step identical graphs.
+func weightRewrites(g *graph.Graph, k int) func(cur *graph.Graph, tick int, ups []graph.WeightUpdate) []graph.WeightUpdate {
+	var edges [][2]int
+	for i := 0; i < g.N; i++ {
+		for j := 0; j < g.N; j++ {
+			if i != j && g.HasEdge(i, j) {
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	return func(cur *graph.Graph, tick int, ups []graph.WeightUpdate) []graph.WeightUpdate {
+		ups = ups[:0]
+		for e := 0; e < k; e++ {
+			uv := edges[(tick*k+e)*7%len(edges)]
+			w := cur.At(uv[0], uv[1])
+			ups = append(ups, graph.WeightUpdate{U: uv[0], V: uv[1], W: (w % 9) + 1})
+		}
+		return ups
+	}
+}
+
+// BenchmarkUpdateResolve is the incremental re-solve curve: k weight
+// edits applied to a live session (O(k) delta DMA + warm-start re-solve
+// of one destination) vs the same edits replayed from scratch (full
+// weight reload + cold solve). The warm/cold gap at small k is the whole
+// point of Session.Update/Resolve; at k = n the churn is global and the
+// two converge.
+func BenchmarkUpdateResolve(b *testing.B) {
+	g := graph.GenRandomConnected(64, 0.3, 9, 5)
+	for _, k := range []int{1, 4, 16, 64} {
+		next := weightRewrites(g, k)
+		b.Run(fmt.Sprintf("n=64/k=%d/warm", k), func(b *testing.B) {
+			s, err := core.NewSession(g.Clone(), core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Resolve(context.Background(), 1); err != nil {
+				b.Fatal(err)
+			}
+			ups := make([]graph.WeightUpdate, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ups = next(s.Graph(), i, ups)
+				if err := s.Update(ups); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Resolve(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=64/k=%d/cold", k), func(b *testing.B) {
+			gc := g.Clone()
+			s, err := core.NewSession(gc, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Solve(1); err != nil {
+				b.Fatal(err)
+			}
+			ups := make([]graph.WeightUpdate, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ups = next(gc, i, ups)
+				if err := gc.Apply(ups); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Reload(gc); err != nil {
+					b.Fatal(err)
+				}
 				if _, err := s.Solve(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResolveSweep is the warm incremental all-pairs curve: k
+// weight edits followed by a full 64-destination re-solve. The warm row
+// keeps one live session whose retained per-destination solutions seed
+// each row's DP (and whose skip-converged certificate emits untouched
+// rows without running it); the cold row replays the same edits as a
+// weight reload plus a from-scratch SolveSweep. The warm/cold gap at
+// small k is the whole point of Session.ResolveSweep.
+func BenchmarkResolveSweep(b *testing.B) {
+	g := graph.GenRandomConnected(64, 0.3, 9, 5)
+	dests := allDests(g.N)
+	for _, k := range []int{1, 4, 16, 64} {
+		next := weightRewrites(g, k)
+		b.Run(fmt.Sprintf("n=64/k=%d/warm", k), func(b *testing.B) {
+			s, err := core.NewSession(g.Clone(), core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			// Prime every destination's retained solution.
+			if err := s.ResolveSweep(context.Background(), dests, discard); err != nil {
+				b.Fatal(err)
+			}
+			ups := make([]graph.WeightUpdate, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ups = next(s.Graph(), i, ups)
+				if err := s.Update(ups); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.ResolveSweep(context.Background(), dests, discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=64/k=%d/cold", k), func(b *testing.B) {
+			gc := g.Clone()
+			s, err := core.NewSession(gc, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			ups := make([]graph.WeightUpdate, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ups = next(gc, i, ups)
+				if err := gc.Apply(ups); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Reload(gc); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.SolveSweep(context.Background(), dests, discard); err != nil {
 					b.Fatal(err)
 				}
 			}

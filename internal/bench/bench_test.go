@@ -219,15 +219,28 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
+// TestExperiments pins the experiment index: ids exactly E1..E9 in
+// order (hence unique). TestRunAll checks that each runner's table
+// carries its entry's id.
+func TestExperiments(t *testing.T) {
+	if len(Experiments) != 9 {
+		t.Fatalf("got %d experiments, want 9", len(Experiments))
+	}
+	for i, e := range Experiments {
+		if want := "E" + strconv.Itoa(i+1); e.ID != want {
+			t.Errorf("experiment %d is %s, want %s", i, e.ID, want)
+		}
+	}
+}
+
 func TestRunAll(t *testing.T) {
 	tables := RunAll()
-	if len(tables) != 9 {
-		t.Fatalf("got %d tables", len(tables))
+	if len(tables) != len(Experiments) {
+		t.Fatalf("got %d tables, want %d", len(tables), len(Experiments))
 	}
-	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
 	for i, tb := range tables {
-		if tb.ID != ids[i] {
-			t.Errorf("table %d is %s", i, tb.ID)
+		if tb.ID != Experiments[i].ID {
+			t.Errorf("table %d is %s, want %s", i, tb.ID, Experiments[i].ID)
 		}
 		if len(tb.Rows) == 0 || tb.Format() == "" {
 			t.Errorf("table %s empty", tb.ID)

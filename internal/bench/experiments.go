@@ -317,8 +317,33 @@ func RunPaperPPC(g *graph.Graph, dest int, h uint, opts ...ppclang.Option) (*gra
 	return res, m.Metrics(), nil
 }
 
-// RunAll executes every experiment in order (the paper-claim experiments
-// E1-E5 plus the E6 virtualization ablation).
+// Experiment is one entry of DESIGN.md's experiment index: its id and
+// the deterministic runner that produces its table.
+type Experiment struct {
+	ID  string
+	Run func() Table
+}
+
+// Experiments is the experiment index in order: the paper-claim
+// experiments E1-E5 and the extensions E6-E9. RunAll and cmd/benchtab's
+// -only both iterate it.
+var Experiments = []Experiment{
+	{"E1", RunE1},
+	{"E2", RunE2},
+	{"E3", RunE3},
+	{"E4", RunE4},
+	{"E5", RunE5},
+	{"E6", RunE6},
+	{"E7", RunE7},
+	{"E8", RunE8},
+	{"E9", RunE9},
+}
+
+// RunAll executes every experiment of Experiments in order.
 func RunAll() []Table {
-	return []Table{RunE1(), RunE2(), RunE3(), RunE4(), RunE5(), RunE6(), RunE7(), RunE8(), RunE9()}
+	tables := make([]Table, len(Experiments))
+	for i, e := range Experiments {
+		tables[i] = e.Run()
+	}
+	return tables
 }

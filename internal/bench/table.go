@@ -1,5 +1,5 @@
 // Package bench is the experiment harness of the reproduction: one
-// deterministic runner per experiment in DESIGN.md's index (E1-E5), each
+// deterministic runner per experiment in DESIGN.md's index (E1-E9), each
 // returning a formatted Table. cmd/benchtab prints them; the root
 // bench_test.go wraps the same workloads in testing.B benchmarks; and
 // EXPERIMENTS.md records their output next to the paper's claims.
