@@ -216,19 +216,25 @@ func BenchmarkE6Virtualized(b *testing.B) {
 
 // BenchmarkSolveWallClock is a plain host-performance benchmark of the
 // simulator itself (not an experiment): how fast the Go implementation
-// simulates one full solve, serially, with the ring worker pool, and
+// simulates one full solve, one-shot, with the ring worker pool, and
 // with a reused Session.
 func BenchmarkSolveWallClock(b *testing.B) {
 	g := graph.GenRandomConnected(64, 0.3, 9, 5)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("n=64/workers=%d", workers), func(b *testing.B) {
+	oneShot := func(name string, opt core.Options) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(g, 1, core.Options{Workers: workers}); err != nil {
+				if _, err := core.Solve(g, 1, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+	oneShot("n=64/one-shot", core.Options{})
+	// The workers curve runs the machine program: the default fused lane
+	// issues no bus transaction, so it never dispatches ring work.
+	for _, workers := range []int{1, 2, 4, 8} {
+		oneShot(fmt.Sprintf("n=64/workers=%d", workers), core.Options{Workers: workers, ReferenceKernels: true})
 	}
 	session := func(name string, opt core.Options) {
 		b.Run(name, func(b *testing.B) {

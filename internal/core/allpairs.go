@@ -31,9 +31,8 @@ type AllPairs struct {
 // SolveAllPairs runs the DP for every destination and assembles the full
 // distance and next-hop matrices. Destinations are split into contiguous
 // shards over min(GOMAXPROCS, n) workers; each worker drives its shard
-// through one warm session's SolveSweep (one machine, one weight DMA, the
-// selector planes retargeted incrementally per destination) and closes
-// the session when its shard is done. Results are deterministic for any
+// through one warm session's SolveSweep (one machine, one weight DMA)
+// and closes the session when its shard is done. Results are deterministic for any
 // worker count: each destination's solve is self-contained, the
 // aggregation order is fixed, and on failure the reported error is the
 // one at the smallest failing destination index — every shard stops at

@@ -8,8 +8,9 @@
 // each row, extracts the arg-min column index with selected_min, and
 // writes the new SOW/PTN back to row d via the diagonal. The loop stops
 // when the global-OR line reports that no SOW entry of row d changed —
-// after p productive rounds plus one detecting round, where p is the
-// maximum MCP length to the destination.
+// after max(1, p) rounds, where p is the largest fewest-edge MCP length
+// to the destination (p-1 productive rounds after the 1-edge seed, plus
+// one detecting round).
 //
 // Total cost: Θ(p·h) wired-OR cycles plus Θ(p) word broadcasts on an
 // h-bit machine — the complexity the paper establishes and experiments
@@ -571,34 +572,62 @@ func loadWeightsInto(dst []ppa.Word, g *graph.Graph, h uint) error {
 	return nil
 }
 
-// PredictedCost returns the analytical cycle model of one Solve run for an
-// n-vertex graph on an h-bit machine converging after iters rounds:
-// experiments compare it against measured metrics to certify the Θ(p·h)
-// complexity claim.
-func PredictedCost(n int, h uint, iters int, paperInit bool) ppa.Metrics {
-	return PredictedCostModel(h, iters, paperInit, false)
-}
-
-// PredictedCostModel extends PredictedCost with the bus-model choice:
-// switchOnly selects the plain-broadcast minima (2h+2 bus cycles each).
-func PredictedCostModel(h uint, iters int, paperInit, switchOnly bool) ppa.Metrics {
-	wiredOrPerMin, busPerMin := par.MinCost(h)
-	if switchOnly {
-		wiredOrPerMin, busPerMin = par.MinSwitchCost(h)
-	}
-	perIter := ppa.Metrics{
-		// stmt 10 broadcast + stmt 11 min + stmt 12 selected_min +
-		// stmts 16/18 two diagonal broadcasts.
-		BusCycles:     1 + 2*busPerMin + 2,
-		WiredOrCycles: 2 * wiredOrPerMin,
-		GlobalOrOps:   1,
-	}
-	total := ppa.Metrics{}
+// PredictedCost returns the cost of one solve on a direct n x n, h-bit
+// machine that converges after iters DP rounds: the machine program's
+// init charge plus iters round charges (dpCost), in every ppa.Metrics
+// field. warm prices a Resolve that warm-starts from a retained solution,
+// paperInit the paper's verbatim initialization (cold solves only) and
+// switchOnly the plain-broadcast minima of Options.SwitchOnlyBus.
+// Measured Metrics equal it on every lane; experiments use it to certify
+// the Θ(p·h) complexity claim.
+func PredictedCost(n int, h uint, iters int, warm, paperInit, switchOnly bool) ppa.Metrics {
+	total, round := dpCost(n, h, warm, paperInit, switchOnly)
 	for k := 0; k < iters; k++ {
-		total = total.Add(perIter)
-	}
-	if !paperInit {
-		total.BusCycles += 2 // corrected initialization's transpose move
+		total = total.Add(round)
 	}
 	return total
+}
+
+// dpCost is the machine program's cost schedule on a direct n x n, h-bit
+// machine, stated once: init is what a solve charges before its first DP
+// round, round what each round (statements 10-20) charges. The fused lane
+// charges exactly this and PredictedCost sums it. Every instruction runs
+// on all n² PEs, so PEOps is always Instructions·n².
+//
+// A cold init (statements 4-7) issues seven instructions: ROW==d, COL==d,
+// ¬(ROW==d), the SOW and PTN stores, ROW==d ∧ COL==d and SOW[d][d]=0.
+// Unless paperInit, two broadcasts move column d of W onto row d. A warm
+// seed issues only ROW==d and ¬(ROW==d).
+//
+// A round issues three broadcasts (statement 10 and the two diagonal
+// folds), one global-OR and two bit-serial minima (Min and SelectedMin)
+// priced by par.MinCost. Its own instructions are eleven: the add and
+// store of statement 10, the MinSOW store and the Eq of 11, the PTN store
+// of 12, four stores and compares in 14-19 and the Ne and And of 20.
+// Each minimum adds 5h+2: h bit-plane gathers, four per plane, the enable
+// set-up and the result copy. On the switch-only bus (par.MinSwitchCost)
+// each plane's OR adds four more.
+func dpCost(n int, h uint, warm, paperInit, switchOnly bool) (init, round ppa.Metrics) {
+	wiredOrPerMin, busPerMin := par.MinCost(h)
+	instrPerMin := 5*int64(h) + 2
+	if switchOnly {
+		wiredOrPerMin, busPerMin = par.MinSwitchCost(h)
+		instrPerMin += 4 * int64(h)
+	}
+	init.Instructions = 7
+	if warm {
+		init.Instructions = 2
+	} else if !paperInit {
+		init.BusCycles = 2
+	}
+	round = ppa.Metrics{
+		BusCycles:     3 + 2*busPerMin,
+		WiredOrCycles: 2 * wiredOrPerMin,
+		GlobalOrOps:   1,
+		Instructions:  11 + 2*instrPerMin,
+	}
+	size := int64(n) * int64(n)
+	init.PEOps = init.Instructions * size
+	round.PEOps = round.Instructions * size
+	return init, round
 }

@@ -77,6 +77,26 @@ func TestSolveSingleVertex(t *testing.T) {
 	}
 }
 
+// TestSolveZeroWeightGraphs: with default Options, graphs whose weights
+// are all zero (edgeless included) get words wide enough for their vertex
+// indices and solve exactly.
+func TestSolveZeroWeightGraphs(t *testing.T) {
+	for _, n := range []int{5, 6, 17, 40} {
+		edgeless := graph.New(n)
+		zeros := graph.GenRandomConnected(n, 0.3, 1, int64(n))
+		for i := range zeros.W {
+			if zeros.W[i] != graph.NoEdge {
+				zeros.W[i] = 0
+			}
+		}
+		for _, g := range []*graph.Graph{edgeless, zeros} {
+			for _, dest := range []int{0, n - 1} {
+				agreeWithBellmanFord(t, g, dest, mustSolve(t, g, dest, Options{}))
+			}
+		}
+	}
+}
+
 func TestSolveDestinationVariants(t *testing.T) {
 	g := graph.GenRandomConnected(9, 0.3, 7, 17)
 	for dest := 0; dest < g.N; dest++ {
@@ -124,7 +144,7 @@ func TestSolveMetricsMatchPredictedCost(t *testing.T) {
 				continue
 			}
 			r := mustSolve(t, g, dest, Options{PaperInit: paperInit})
-			want := PredictedCost(n, r.Bits, r.Iterations, paperInit)
+			want := PredictedCost(n, r.Bits, r.Iterations, false, paperInit, false)
 			got := r.Metrics
 			if got.BusCycles != want.BusCycles ||
 				got.WiredOrCycles != want.WiredOrCycles ||

@@ -149,43 +149,60 @@ func TestSolveSweepFaultParity(t *testing.T) {
 	}
 }
 
-// TestSolveSweepEventStreamParity pins the strongest form of the shadow
-// discipline: the machine's observer must see the *same transaction
-// stream* — op kinds, directions and Open counts, in order — from a sweep
-// as from the equivalent sequential loop on the machine program. This is what makes the
-// shadow-charged broadcasts indistinguishable from executed ones.
+// TestSolveSweepEventStreamParity pins what an observer sees: a default
+// session with an observer attached leaves the fused lane (which issues no
+// transactions) for the machine program, so across a sweep, single solves,
+// an update and warm re-solves its event stream — op kinds, directions and
+// Open counts, in order — and every Result equal those of a
+// ReferenceKernels session.
 func TestSolveSweepEventStreamParity(t *testing.T) {
 	g := graph.GenRandomConnected(8, 0.4, 20, 9)
 	h := g.BitsNeeded()
-	record := func(m *ppa.Machine) *[]ppa.Event {
+	ctx := context.Background()
+	batch := []graph.WeightUpdate{{U: 0, V: 3, W: 1}, {U: 5, V: 2, W: graph.NoEdge}}
+	run := func(opt Options) ([]*Result, []ppa.Event) {
+		m := ppa.New(g.N, h)
 		var evs []ppa.Event
 		m.SetObserver(func(e ppa.Event) { evs = append(evs, e) })
-		return &evs
-	}
-	mSweep := ppa.New(g.N, h)
-	sweepEvs := record(mSweep)
-	sw, err := NewSessionOn(mSweep, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	mSeq := ppa.New(g.N, h)
-	seqEvs := record(mSeq)
-	sq, err := NewSessionOn(mSeq, g, Options{ReferenceKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sq.Close()
-
-	sweepAll(t, sw)
-	for d := 0; d < g.N; d++ {
-		if _, err := sq.Solve(d); err != nil {
+		s, err := NewSessionOn(m, g, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
+		out := sweepAll(t, s)
+		r, err := s.Solve(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+		for _, d := range []int{1, 6} {
+			if r, err = s.Resolve(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		if err := s.Update(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []int{1, 6} {
+			if r, err = s.Resolve(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return append(out, resolveSweepAll(t, s)...), evs
 	}
-	if !reflect.DeepEqual(*sweepEvs, *seqEvs) {
-		t.Fatalf("sweep and sequential event streams diverge: %d vs %d events",
-			len(*sweepEvs), len(*seqEvs))
+	got, gotEvs := run(Options{})
+	want, wantEvs := run(Options{ReferenceKernels: true})
+	if len(gotEvs) == 0 {
+		t.Fatal("observed default session raised no events")
+	}
+	if !reflect.DeepEqual(gotEvs, wantEvs) {
+		t.Fatalf("observed default and reference event streams diverge: %d vs %d events",
+			len(gotEvs), len(wantEvs))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("observed default and reference results diverge")
 	}
 }
 
@@ -222,8 +239,8 @@ func TestSolveSweepReload(t *testing.T) {
 }
 
 // TestSolveSweepMixedWithSolve interleaves sweep and single solves on one
-// session: the sweep's incremental selector-plane retargeting must not
-// leave state behind that corrupts either style of follow-up call.
+// session: the shared per-session scratch must not leave state behind
+// that corrupts either style of follow-up call.
 func TestSolveSweepMixedWithSolve(t *testing.T) {
 	g := graph.GenRandomConnected(10, 0.4, 15, 13)
 	s, err := NewSession(g, Options{})
@@ -254,9 +271,9 @@ func TestSolveSweepMixedWithSolve(t *testing.T) {
 	if got, err := s.Solve(7); err != nil || !reflect.DeepEqual(got, want[7]) {
 		t.Fatalf("post-sweep Solve(7) diverges (err %v)", err)
 	}
-	// Re-sweeping the same single destination twice exercises the retarget
-	// no-op branch (a duplicate inside one sweep is rejected instead — see
-	// TestSweepDestValidation).
+	// Re-sweeping the same single destination twice reuses the scratch
+	// for an unchanged destination (a duplicate inside one sweep is
+	// rejected instead — see TestSweepDestValidation).
 	for i := 0; i < 2; i++ {
 		err = s.SolveSweep(context.Background(), []int{5}, func(r *Result) error {
 			if !reflect.DeepEqual(r, want[5]) {

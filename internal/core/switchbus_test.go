@@ -35,7 +35,7 @@ func TestSwitchOnlyBusCostModel(t *testing.T) {
 		if r.Metrics.WiredOrCycles != 0 {
 			t.Errorf("h=%d: switch-only run used %d wired-OR cycles", h, r.Metrics.WiredOrCycles)
 		}
-		want := PredictedCostModel(h, r.Iterations, false, true)
+		want := PredictedCost(10, h, r.Iterations, false, false, true)
 		if r.Metrics.BusCycles != want.BusCycles || r.Metrics.GlobalOrOps != want.GlobalOrOps {
 			t.Errorf("h=%d: bus=%d globalOR=%d, model %d/%d",
 				h, r.Metrics.BusCycles, r.Metrics.GlobalOrOps, want.BusCycles, want.GlobalOrOps)

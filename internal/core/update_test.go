@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ppamcp/internal/graph"
-	"ppamcp/internal/ppa"
 )
 
 // genUpdates builds one randomized batch for an update stream and keeps
@@ -197,28 +196,19 @@ func TestResolveColdClassParity(t *testing.T) {
 
 // TestResolveFastGeneralParity pins the warm fast path against the warm
 // general (machine-program) path: identical update streams on a fused and
-// a reference-kernel session must yield byte-identical Iterations and
-// Metrics for every Resolve, and byte-identical observer event streams
-// overall — the shadow-charge discipline of DESIGN §12.
+// a reference-kernel session must yield byte-identical Dist, Next,
+// Iterations and Metrics for every Resolve (DESIGN §12). The observed
+// event stream is pinned by TestSolveSweepEventStreamParity.
 func TestResolveFastGeneralParity(t *testing.T) {
 	const n = 10
 	g0 := graph.GenRandomConnected(n, 0.4, 9, 17)
 	h := uint(12)
-	record := func(m *ppa.Machine) *[]ppa.Event {
-		var evs []ppa.Event
-		m.SetObserver(func(e ppa.Event) { evs = append(evs, e) })
-		return &evs
-	}
-	mFast := ppa.New(n, h)
-	fastEvs := record(mFast)
-	fast, err := NewSessionOn(mFast, g0, Options{})
+	fast, err := NewSession(g0, Options{Bits: h})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	mGen := ppa.New(n, h)
-	genEvs := record(mGen)
-	gen, err := NewSessionOn(mGen, g0, Options{ReferenceKernels: true})
+	gen, err := NewSession(g0, Options{Bits: h, ReferenceKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +249,6 @@ func TestResolveFastGeneralParity(t *testing.T) {
 				t.Fatalf("step %d dest %d: results diverge", step, dest)
 			}
 		}
-	}
-	if !reflect.DeepEqual(*fastEvs, *genEvs) {
-		la, lb := *fastEvs, *genEvs
-		for i := 0; i < len(la) && i < len(lb); i++ {
-			if la[i] != lb[i] {
-				t.Fatalf("event streams diverge at %d: %+v (fast) vs %+v (general); lengths %d vs %d",
-					i, la[i], lb[i], len(la), len(lb))
-			}
-		}
-		t.Fatalf("event streams diverge: %d (fast) vs %d (general) events", len(la), len(lb))
 	}
 }
 

@@ -129,14 +129,15 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// BitsNeeded returns the smallest machine word width h such that every
-// finite path cost representable in the DP fits: the machine MAXINT
-// (2^h-1) must strictly exceed any finite shortest-path cost, which is
-// bounded by (n-1) * maxWeight.
+// BitsNeeded returns the smallest machine word width h the DP can run
+// with: the machine MAXINT (2^h-1) must strictly exceed any finite
+// shortest-path cost, which is bounded by (n-1) * maxWeight, and must
+// hold every vertex index up to n-1 (the PTN plane stores them). The
+// second bound only binds when every weight is zero.
 func (g *Graph) BitsNeeded() uint {
 	bound := int64(g.N-1)*g.MaxWeight() + 1
 	h := uint(1)
-	for int64(1)<<h-1 <= bound {
+	for int64(1)<<h-1 <= bound || int64(1)<<h-1 < int64(g.N-1) {
 		h++
 	}
 	return h

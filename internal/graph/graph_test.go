@@ -102,6 +102,19 @@ func TestBitsNeeded(t *testing.T) {
 	if got := New(1).BitsNeeded(); got < 1 {
 		t.Errorf("BitsNeeded on trivial graph = %d", got)
 	}
+	// Weightless graphs: MAXINT = 2^h-1 must still hold vertex index n-1.
+	for _, c := range []struct {
+		n    int
+		want uint
+	}{{2, 2}, {4, 2}, {5, 3}, {6, 3}, {9, 4}, {300, 9}} {
+		g := New(c.n)
+		if c.n > 2 {
+			g.SetEdge(0, 2, 0)
+		}
+		if got := g.BitsNeeded(); got != c.want {
+			t.Errorf("n=%d all-zero weights: BitsNeeded = %d, want %d", c.n, got, c.want)
+		}
+	}
 }
 
 func TestFormatParseRoundTrip(t *testing.T) {

@@ -12,12 +12,14 @@ import (
 // must not allocate per transaction (the old dispatcher heap-allocated one
 // closure per ring chunk per bus transaction, ~17x the serial alloc
 // count on the benchmark graph). Allocations with workers=4 must stay
-// within 2x of workers=1.
+// within 2x of workers=1. The solves run the machine program
+// (ReferenceKernels): the default fused lane issues no bus transaction,
+// so it never reaches the pool.
 func TestSolveWorkerAllocParity(t *testing.T) {
 	g := graph.GenRandomConnected(64, 0.3, 9, 5)
 	measure := func(workers int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := core.Solve(g, 1, core.Options{Workers: workers}); err != nil {
+			if _, err := core.Solve(g, 1, core.Options{Workers: workers, ReferenceKernels: true}); err != nil {
 				t.Fatal(err)
 			}
 		})

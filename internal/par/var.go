@@ -392,12 +392,6 @@ func (x *Bool) Release() {
 // Slice copies the logical out to the host.
 func (x *Bool) Slice() []bool { return x.v.Bools() }
 
-// Bits exposes the logical's packed lane storage without copying.
-// Read-only for callers, like Var.Words: fused host drivers pass a
-// resident switch plane straight to the fabric (ppa.Machine.WiredOrBits,
-// ChargeBroadcast) without rebuilding it bit by bit.
-func (x *Bool) Bits() *ppa.Bitset { return x.v }
-
 // At returns the value held by PE (row, col).
 func (x *Bool) At(row, col int) bool { return x.v.Get(row*x.a.N() + col) }
 

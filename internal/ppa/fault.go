@@ -103,6 +103,9 @@ type Event struct {
 // instruction-pattern tests.
 func (m *Machine) SetObserver(fn func(Event)) { m.observer = fn }
 
+// Observed reports whether an observer is attached.
+func (m *Machine) Observed() bool { return m.observer != nil }
+
 func (m *Machine) observe(op OpKind, d Direction, opens int) {
 	if m.observer != nil {
 		m.observer(Event{Op: op, Dir: d, Opens: opens})

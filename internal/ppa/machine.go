@@ -151,6 +151,13 @@ func (m *Machine) CountPE(ops int64) { m.metrics.PEOps += ops }
 // CountInstr charges one SIMD instruction issued by the controller.
 func (m *Machine) CountInstr() { m.metrics.Instructions++ }
 
+// Charge adds a precomputed cost to the accumulated metrics without
+// issuing any transaction: no data moves and no observer event is raised.
+// It is for host drivers that compute a whole program's effect directly
+// and know its cost in closed form (core's fused DP lane); such drivers
+// must leave observed machines (Observed) to the real instruction stream.
+func (m *Machine) Charge(c Metrics) { m.metrics = m.metrics.Add(c) }
+
 // ring describes the geometry of one bus ring in flow order: the PE at
 // flow position k has flat index base + k*stride (indices are exact; no
 // modular arithmetic is applied because 0 <= k < n).
@@ -234,34 +241,6 @@ func (m *Machine) BroadcastBits(d Direction, open *Bitset, src, dst []Word) {
 		rk.topen = t
 	}
 	m.dispatch(false, m.n*m.n)
-}
-
-// ChargeBroadcast charges one segmented-bus broadcast transaction without
-// moving any data: the metrics accounting, the fault application and the
-// observer event are exactly those of BroadcastBits with configuration
-// open. It exists for host-side fused drivers (core's batched sweep
-// kernel) that compute a broadcast's effect algebraically but must keep
-// the machine's cost counters and event stream identical to the reference
-// instruction sequence — the same shadow-charge discipline as package
-// par's fused reductions.
-func (m *Machine) ChargeBroadcast(d Direction, open *Bitset) {
-	m.checkBits("open", open)
-	open = m.effectiveOpenBits(open)
-	m.observeOpens(OpBroadcast, d, open)
-	m.metrics.BusCycles++
-}
-
-// ChargeWiredOr is ChargeBroadcast's wired-OR counterpart: it charges one
-// wired-OR bus cycle and emits the observer event of a WiredOrBits with
-// configuration open, without resolving any clusters. Host drivers that
-// compute a reduction's outcome algebraically (core's warm re-solve) use
-// it to keep the cost counters and event stream identical to the
-// reference instruction sequence.
-func (m *Machine) ChargeWiredOr(d Direction, open *Bitset) {
-	m.checkBits("open", open)
-	open = m.effectiveOpenBits(open)
-	m.observeOpens(OpWiredOr, d, open)
-	m.metrics.WiredOrCycles++
 }
 
 // WiredOr performs one 1-bit wired-OR bus transaction in direction d.

@@ -649,6 +649,30 @@ func TestPickBits(t *testing.T) {
 	}
 }
 
+// TestSolveEdgelessGraph: a weightless graph still needs words wide
+// enough for its vertex indices. An edgeless n=300 body, within the
+// default MaxVertices, must solve instead of answering 400.
+func TestSolveEdgelessGraph(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}()
+	g := graph.New(300)
+	dests := []int{0, 299}
+	code, sr, er, _ := postSolve(t, ts.Client(), ts.URL,
+		SolveRequest{Graph: json.RawMessage(`{"n":300,"edges":[]}`), Dests: dests})
+	if code != http.StatusOK {
+		t.Fatalf("status = %d (%v), want 200", code, er)
+	}
+	checkResponse(t, g, sr, dests)
+}
+
 // TestHealthzBody pins the /healthz JSON contract the router tier
 // consumes: 200 + {"status":"ok",...} while serving, 503 +
 // {"status":"draining","draining":true,...} once shutdown begins — the

@@ -314,9 +314,8 @@ func (s *Server) runBatch(b *batch) {
 
 // runAllPairs serves one streaming all-pairs job: a single warm session
 // sweeps the destination set (every destination 0..n-1, or the job's
-// requested subset) with one weight DMA and incrementally retargeted
-// selector planes, and each row is pushed to the handler the moment it
-// lands. Streaming batches are exclusive, so b holds exactly one job.
+// requested subset) with one weight DMA, and each row is pushed to the
+// handler the moment it lands. Streaming batches are exclusive, so b holds exactly one job.
 // The panic and deadline contracts match runBatch: a panic fails this
 // job and drops the session; the job's context is observed between
 // destinations and between DP iterations.
