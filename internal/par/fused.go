@@ -19,10 +19,10 @@ import "ppamcp/internal/ppa"
 // (including Instructions and PEOps, which are charged explicitly to
 // mirror the reference pipeline) are identical. That holds for the plain
 // machine and for virtualized fabrics alike (virt's packed engine
-// likewise shadows its lane path one-for-one). fused_test.go and the core
-// fused-parity tests pin this with property tests; the interpretive path
-// remains the oracle and is the only path under injected faults and for
-// the switch-only OR model.
+// likewise shadows its lane-at-a-time test oracle one-for-one).
+// fused_test.go and the core fused-parity tests pin this with property
+// tests; the interpretive path remains the oracle and is the only path
+// under injected faults and for the switch-only OR model.
 
 // fusedOn returns the fabric the fused kernels may run on, or nil when
 // the interpretive reference path must be used: fused disabled, a foreign

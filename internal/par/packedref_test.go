@@ -20,7 +20,19 @@ import (
 type refCtx struct {
 	n    int
 	mask []bool
-	m    *ppa.Machine // mirror fabric: same side, faults; []bool entry points
+	m    *ppa.Machine // mirror fabric: same side, faults
+}
+
+// broadcast and wiredOr run one mirror-fabric transaction on the
+// reference's unpacked lane sets, packing them with FromBools.
+func (r *refCtx) broadcast(d ppa.Direction, open []bool, src, dst []ppa.Word) {
+	r.m.BroadcastBits(d, ppa.NewBitsetFromBools(open), src, dst)
+}
+
+func (r *refCtx) wiredOr(d ppa.Direction, open, drive, dst []bool) {
+	out := ppa.NewBitset(len(dst))
+	r.m.WiredOrBits(d, ppa.NewBitsetFromBools(open), ppa.NewBitsetFromBools(drive), out)
+	out.ToBools(dst)
 }
 
 func (r *refCtx) assignWords(dst, src []ppa.Word) {
@@ -249,21 +261,21 @@ func TestPackedParMatchesReferenceLanes(t *testing.T) {
 					d := ppa.Direction(rng.Intn(4))
 					got := a.Or(x.b, d, y.b)
 					refv := make([]bool, size)
-					ref.m.WiredOr(d, y.ref, x.ref, refv)
+					ref.wiredOr(d, y.ref, x.ref, refv)
 					checkBool(t, *budget, got, refv)
 					replaceBool(k, got, refv)
 				case 9: // segmented word broadcast
 					d := ppa.Direction(rng.Intn(4))
 					got := a.Broadcast(u.v, d, x.b)
 					refv := make([]ppa.Word, size)
-					ref.m.Broadcast(d, x.ref, u.ref, refv)
+					ref.broadcast(d, x.ref, u.ref, refv)
 					checkVar(t, *budget, got, refv)
 					replaceVar(kv, got, refv)
 				case 10: // masked BroadcastInto
 					d := ppa.Direction(rng.Intn(4))
 					a.BroadcastInto(u.v, w.v, d, x.b)
 					tmp := append([]ppa.Word(nil), u.ref...)
-					ref.m.Broadcast(d, x.ref, w.ref, tmp)
+					ref.broadcast(d, x.ref, w.ref, tmp)
 					ref.assignWords(u.ref, tmp)
 					checkVar(t, *budget, u.v, u.ref)
 				case 11: // global-OR line

@@ -212,32 +212,6 @@ func (b *Bitset) FillRange(lo, hi int, v bool) {
 	}
 }
 
-// FillStride stores v into the count lanes start, start+stride,
-// start+2*stride, ... — the column-stripe edit of a row-major plane
-// (stride n selects one column of an n-sided array). stride must be
-// positive and every touched lane must be in range.
-func (b *Bitset) FillStride(start, stride, count int, v bool) {
-	if stride <= 0 {
-		panic(fmt.Sprintf("ppa: FillStride stride %d <= 0", stride))
-	}
-	if count <= 0 {
-		return
-	}
-	last := start + (count-1)*stride
-	if start < 0 || last >= b.n {
-		panic(fmt.Sprintf("ppa: FillStride lanes [%d,%d] out of range [0,%d)", start, last, b.n))
-	}
-	if v {
-		for i, k := start, 0; k < count; i, k = i+stride, k+1 {
-			b.w[i>>6] |= 1 << (uint(i) & 63)
-		}
-	} else {
-		for i, k := start, 0; k < count; i, k = i+stride, k+1 {
-			b.w[i>>6] &^= 1 << (uint(i) & 63)
-		}
-	}
-}
-
 // NextSet returns the first true lane in [from, to), or -1 (the
 // trailing-zero scan of the packed representation).
 func (b *Bitset) NextSet(from, to int) int {

@@ -144,43 +144,3 @@ func TestTransposeBitsMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-func TestBitsetFillStrideMatchesLaneLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(200)
-		data := randBools(rng, n, 0.3)
-		b := NewBitsetFromBools(data)
-		start := rng.Intn(n)
-		stride := 1 + rng.Intn(n)
-		count := rng.Intn((n-start-1)/stride + 2) // may be 0
-		v := rng.Intn(2) == 0
-
-		b.FillStride(start, stride, count, v)
-		for i, k := start, 0; k < count; i, k = i+stride, k+1 {
-			data[i] = v
-		}
-		got := b.Bools()
-		for i := range data {
-			if got[i] != data[i] {
-				t.Fatalf("n=%d start=%d stride=%d count=%d v=%v lane %d: got %v",
-					n, start, stride, count, v, i, got[i])
-			}
-		}
-	}
-	b := NewBitset(64)
-	for _, bad := range []func(){
-		func() { b.FillStride(0, 0, 2, true) },
-		func() { b.FillStride(60, 8, 2, true) },
-		func() { b.FillStride(-1, 1, 1, true) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-range FillStride did not panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}

@@ -23,8 +23,8 @@ func (k FaultKind) String() string {
 }
 
 // InjectFault forces the switch box of PE pe (flat row-major index) to a
-// fixed configuration for all subsequent Broadcast and WiredOr
-// transactions. Shift and GlobalOr use separate fabric and are
+// fixed configuration for all subsequent broadcast and wired-OR
+// transactions. Shift and the global-OR line use separate fabric and are
 // unaffected. Fault injection exists to study how silent hardware defects
 // corrupt algorithm output — and to demonstrate that the independent
 // optimality checker (graph.CheckResult) catches every corruption; see

@@ -13,8 +13,6 @@ import (
 // Boolean lane sets (switch configurations, wired-OR planes, predicates)
 // travel as packed Bitsets — 64 lanes per machine word — so one bus
 // transaction costs O(n²/64) host word operations on its logical parts.
-// The []bool entry points remain as conversion shims over the same packed
-// kernels.
 //
 // A Machine is not safe for concurrent use by multiple goroutines; it *may*
 // internally fan independent ring operations out over a persistent worker
@@ -50,10 +48,9 @@ type Machine struct {
 
 	// Cached scratch for the packed kernels (lazily allocated, reused
 	// across transactions; a Machine is single-transaction at a time).
-	packOpen, packDrive, packDst *Bitset // []bool-API conversions
-	faultBits                    *Bitset // post-fault switch configuration
-	tOpen, tDrive, tDst          *Bitset // transposed planes for N/S wired-OR
-	bcastT                       *Bitset // transposed open for N/S broadcasts
+	faultBits           *Bitset // post-fault switch configuration
+	tOpen, tDrive, tDst *Bitset // transposed planes for N/S wired-OR
+	bcastT              *Bitset // transposed open for N/S broadcasts
 }
 
 // Option configures a Machine.
@@ -182,12 +179,6 @@ func ringGeometry(d Direction, i, n int) ring {
 	panic(fmt.Sprintf("ppa: invalid direction %d", d))
 }
 
-// ringFor returns the precomputed geometry of the i-th ring (0 <= i < n)
-// carrying data in direction d.
-func (m *Machine) ringFor(d Direction, i int) ring {
-	return m.rings[d][i]
-}
-
 // scratch returns (allocating on first use) a cached n*n-lane Bitset.
 func (m *Machine) scratch(p **Bitset) *Bitset {
 	if *p == nil {
@@ -208,21 +199,8 @@ func (m *Machine) checkBits(name string, b *Bitset) {
 	}
 }
 
-// Broadcast performs one segmented-bus transaction in direction d.
-// PEs with open[i] == true cut the ring and inject src[i] downstream;
-// every PE receives into dst the operand of the nearest Open PE strictly
-// upstream of it (wrapping). On a ring with no Open PE the bus floats and
-// dst is left unchanged there. dst may alias src. Cost: one bus cycle.
-func (m *Machine) Broadcast(d Direction, open []bool, src, dst []Word) {
-	m.checkLen("open", len(open))
-	b := m.scratch(&m.packOpen)
-	b.FromBools(open)
-	m.BroadcastBits(d, b, src, dst)
-}
-
-// BroadcastBits is Broadcast with the switch configuration as a packed
-// Bitset — the allocation-free fast path the programming layers use.
-// dst must not alias the packed configuration's storage.
+// BroadcastBits performs one segmented-bus transaction (semantics and
+// aliasing as Fabric.BroadcastBits). Cost: one bus cycle.
 func (m *Machine) BroadcastBits(d Direction, open *Bitset, src, dst []Word) {
 	m.checkBits("open", open)
 	m.checkLen("src", len(src))
@@ -243,30 +221,10 @@ func (m *Machine) BroadcastBits(d Direction, open *Bitset, src, dst []Word) {
 	m.dispatch(false, m.n*m.n)
 }
 
-// WiredOr performs one 1-bit wired-OR bus transaction in direction d.
-// Open PEs segment each ring into clusters (a cluster is an Open head plus
-// the downstream Short PEs up to, but excluding, the next Open PE,
-// wrapping). Every PE drives drive[i] onto its cluster's wire and reads
-// back the OR over the whole cluster into dst. A ring with no Open PE is a
-// single closed cluster spanning all n PEs. dst may alias drive.
-// Cost: one wired-OR cycle.
-func (m *Machine) WiredOr(d Direction, open, drive, dst []bool) {
-	m.checkLen("open", len(open))
-	m.checkLen("drive", len(drive))
-	m.checkLen("dst", len(dst))
-	bo := m.scratch(&m.packOpen)
-	bo.FromBools(open)
-	bd := m.scratch(&m.packDrive)
-	bd.FromBools(drive)
-	bz := m.scratch(&m.packDst)
-	m.WiredOrBits(d, bo, bd, bz)
-	bz.ToBools(dst)
-}
-
-// WiredOrBits is WiredOr on packed lane sets — the fast path. Horizontal
-// (stride-1) rings reduce in place with word OR and trailing-zero scans;
-// vertical rings run the same kernel through a cached bit-matrix
-// transpose. dst may alias drive; it must not alias open.
+// WiredOrBits performs one wired-OR transaction (semantics and aliasing
+// as Fabric.WiredOrBits). Horizontal (stride-1) rings reduce in place
+// with word OR and trailing-zero scans; vertical rings run the same
+// kernel through a cached bit-matrix transpose. Cost: one wired-OR cycle.
 func (m *Machine) WiredOrBits(d Direction, open, drive, dst *Bitset) {
 	m.checkBits("open", open)
 	m.checkBits("drive", drive)
@@ -297,9 +255,8 @@ func (m *Machine) wiredOrRows(open, drive, dst *Bitset, rev bool) {
 	m.dispatch(true, 3*(m.n*m.n/64+1))
 }
 
-// Shift moves every word one PE in direction d with torus wrap:
-// dst[p] = src[neighbour of p on the side opposite d]. dst may alias src.
-// Cost: one shift step.
+// Shift moves every word one PE in direction d (semantics and aliasing as
+// Fabric.Shift). Cost: one shift step.
 func (m *Machine) Shift(d Direction, src, dst []Word) {
 	m.checkLen("src", len(src))
 	m.checkLen("dst", len(dst))
@@ -311,21 +268,8 @@ func (m *Machine) Shift(d Direction, src, dst []Word) {
 	m.dispatch(false, m.n*m.n)
 }
 
-// GlobalOr evaluates the global-OR line: it reports whether pred is true
-// at any PE. Cost: one global-OR operation.
-func (m *Machine) GlobalOr(pred []bool) bool {
-	m.checkLen("pred", len(pred))
-	m.observe(OpGlobalOr, North, 0)
-	m.metrics.GlobalOrOps++
-	for _, p := range pred {
-		if p {
-			return true
-		}
-	}
-	return false
-}
-
-// GlobalOrBits is GlobalOr on a packed predicate.
+// GlobalOrBits evaluates the global-OR line: it reports whether pred is
+// set at any PE. Cost: one global-OR operation.
 func (m *Machine) GlobalOrBits(pred *Bitset) bool {
 	m.checkBits("pred", pred)
 	m.observe(OpGlobalOr, North, 0)

@@ -24,8 +24,8 @@ func TestPortLevelBroadcastEquivalence(t *testing.T) {
 			behavioral[i] = Word(rng.Intn(1 << 10))
 			portLevel[i] = behavioral[i]
 		}
-		m.Broadcast(d, open, src, behavioral)
-		PortLevelBroadcast(n, d, open, src, portLevel)
+		broadcastBools(m, d, open, src, behavioral)
+		portLevelBroadcast(n, d, open, src, portLevel)
 		if !reflect.DeepEqual(behavioral, portLevel) {
 			t.Fatalf("trial %d n=%d d=%v: models diverged\nopen=%v\nsrc=%v\nbehav=%v\nport =%v",
 				trial, n, d, open, src, behavioral, portLevel)
@@ -51,8 +51,8 @@ func TestPortLevelWiredOrEquivalence(t *testing.T) {
 			open[i] = rng.Intn(3) == 0
 			drive[i] = rng.Intn(2) == 0
 		}
-		m.WiredOr(d, open, drive, behavioral)
-		PortLevelWiredOr(n, d, open, drive, portLevel)
+		wiredOrBools(m, d, open, drive, behavioral)
+		portLevelWiredOr(n, d, open, drive, portLevel)
 
 		// Count heads per ring to classify lanes.
 		headsInRing := make([]int, n)
@@ -110,8 +110,8 @@ func TestPortLevelWiredOrSingleHeadExact(t *testing.T) {
 		}
 		behavioral := make([]bool, n*n)
 		portLevel := make([]bool, n*n)
-		m.WiredOr(d, open, drive, behavioral)
-		PortLevelWiredOr(n, d, open, drive, portLevel)
+		wiredOrBools(m, d, open, drive, behavioral)
+		portLevelWiredOr(n, d, open, drive, portLevel)
 		if !reflect.DeepEqual(behavioral, portLevel) {
 			t.Fatalf("trial %d: single-head configs diverged", trial)
 		}
@@ -131,8 +131,8 @@ func TestPortLevelWiredOrDivergenceExists(t *testing.T) {
 	drive[3] = true
 	behavioral := make([]bool, n*n)
 	portLevel := make([]bool, n*n)
-	m.WiredOr(East, open, drive, behavioral)
-	PortLevelWiredOr(n, East, open, drive, portLevel)
+	wiredOrBools(m, East, open, drive, behavioral)
+	portLevelWiredOr(n, East, open, drive, portLevel)
 	// Behavioral: head 0 reads its own (silent) cluster -> false.
 	// Port-level: head 0's read port hangs on cluster {2,3}'s wire -> true.
 	if behavioral[0] != false || portLevel[0] != true {
@@ -153,5 +153,5 @@ func TestPortLevelPanicsOnBadLengths(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	PortLevelBroadcast(3, East, make([]bool, 4), make([]Word, 9), make([]Word, 9))
+	portLevelBroadcast(3, East, make([]bool, 4), make([]Word, 9), make([]Word, 9))
 }

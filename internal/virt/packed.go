@@ -1,6 +1,6 @@
 package virt
 
-// The packed virtualization engine: the Fabric's Bitset/Word entry points
+// The packed virtualization engine: the Fabric's transactions
 // (BroadcastBits, WiredOrBits, GlobalOrBits, Shift) executed as word-level
 // bit-matrix work on the packed planes directly, with no per-transaction
 // unpacking and no allocation.
@@ -16,19 +16,22 @@ package virt
 // n instead of being transposed.
 //
 // Cost shadowing. Each plane pass issues exactly the physical
-// transactions and chargeLocal calls of the lane-at-a-time reference path
-// in virt.go, in the same order, so ppa.Metrics and physical observer
-// event streams are byte-identical between the two (property-tested in
-// packedparity_test.go) and the EXPERIMENTS.md virtualization ablation is
-// unchanged by this engine.
+// transactions and chargeLocal calls of the lane-at-a-time reference
+// decomposition (kept as a test oracle in laneoracle_test.go), in the same
+// order, so ppa.Metrics and physical observer event streams are
+// byte-identical between the two (property-tested in packedparity_test.go)
+// and the EXPERIMENTS.md virtualization ablation is unchanged by this
+// engine.
 //
 // Parallelism. The per-ring scan/fill kernels are fanned over the
 // physical machine's persistent ring worker pool (ppa.Machine.RunRings)
 // under the pool's usual grain policy. Scan kernels write only []bool and
-// []Word cells indexed by physical PE, so they are always race-free;
-// wired-OR fill kernels write the packed destination plane and are pooled
-// only when n is a multiple of 64 (every logical row then owns whole
-// words), falling back to serial execution otherwise.
+// []Word cells indexed by physical PE, so they are always race-free; the
+// serial stitch phase between kernels packs the per-PE switch flags for
+// the physical transaction. Wired-OR fill kernels write the packed
+// destination plane and are pooled only when n is a multiple of 64 (every
+// logical row then owns whole words), falling back to serial execution
+// otherwise.
 
 import "ppamcp/internal/ppa"
 
@@ -97,8 +100,8 @@ func (v *Machine) dataIdx(i, p int) int {
 // within-block plane: a head scan per block finds the flow-last Open lane
 // and its operand, one physical bus cycle moves those injections between
 // blocks, and segment fills distribute each head's operand downstream.
-// Results and charges are identical to Broadcast. dst may alias src; it
-// must not alias the packed configuration's storage.
+// Semantics and aliasing as ppa.Fabric.BroadcastBits. Cost: k physical bus
+// cycles.
 func (v *Machine) BroadcastBits(d ppa.Direction, open *ppa.Bitset, src, dst []ppa.Word) {
 	v.checkBits("open", open)
 	v.checkLen("src", len(src))
@@ -114,7 +117,8 @@ func (v *Machine) BroadcastBits(d ppa.Direction, open *ppa.Bitset, src, dst []pp
 		v.jt = t
 		v.phys.RunRings(ww, v.fnBcastScan)
 		v.chargeLocal(v.k)
-		v.phys.Broadcast(d, v.pOpenB, v.pInject, v.pRecv)
+		v.pOpen.FromBools(v.pOpenB)
+		v.phys.BroadcastBits(d, v.pOpen, v.pInject, v.pRecv)
 		v.phys.RunRings(ww, v.fnBcastFill)
 		v.chargeLocal(v.k)
 	}
@@ -244,8 +248,9 @@ func (v *Machine) bcastFillRing(i int) {
 // contributions, a one-bit physical shift hands head contributions
 // upstream, one physical wired-OR resolves the block-spanning clusters, a
 // second shift hands results downstream, and masked range fills
-// distribute — word-parallel throughout. Results and charges are
-// identical to WiredOr. dst may alias drive or open.
+// distribute — word-parallel throughout. Semantics and aliasing as
+// ppa.Fabric.WiredOrBits. Cost: k physical wired-OR cycles + 2k one-bit
+// physical shifts.
 func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 	v.checkBits("open", open)
 	v.checkBits("drive", drive)
@@ -276,12 +281,13 @@ func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 			if v.pOpenB[P] {
 				own = v.tailB[P]
 			}
-			v.pDriveB[P] = own || v.shiftHead[P] != 0
+			v.pDrive.SetTo(P, own || v.shiftHead[P] != 0)
 		}
 		v.chargeLocal(1)
-		v.phys.WiredOr(d, v.pOpenB, v.pDriveB, v.pOrB)
+		v.pOpen.FromBools(v.pOpenB)
+		v.phys.WiredOrBits(d, v.pOpen, v.pDrive, v.pOr)
 		for P := 0; P < mm; P++ {
-			v.orW[P] = b2w(v.pOrB[P])
+			v.orW[P] = b2w(v.pOr.Get(P))
 		}
 		v.chargeLocal(1)
 		// Hand each physical cluster's OR downstream by one block, so a
@@ -361,7 +367,7 @@ func (v *Machine) worFillRing(i int) {
 		P := v.blockP(i, q)
 		lo, hi := sb+q*k, sb+(q+1)*k
 		if !v.pOpenB[P] {
-			v.jWDst.FillRange(lo, hi, v.pOrB[P])
+			v.jWDst.FillRange(lo, hi, v.pOr.Get(P))
 			continue
 		}
 		if !v.jRev {
@@ -371,7 +377,7 @@ func (v *Machine) worFillRing(i int) {
 			for {
 				next := v.jScan.NextSet(start+1, hi)
 				if next < 0 {
-					v.jWDst.FillRange(start, hi, v.pOrB[P])
+					v.jWDst.FillRange(start, hi, v.pOr.Get(P))
 					break
 				}
 				v.jWDst.FillRange(start, next, v.jDrive.AnyRange(start, next))
@@ -385,7 +391,7 @@ func (v *Machine) worFillRing(i int) {
 		for {
 			next := v.jScan.PrevSet(lo, start)
 			if next < 0 {
-				v.jWDst.FillRange(lo, start+1, v.pOrB[P])
+				v.jWDst.FillRange(lo, start+1, v.pOr.Get(P))
 				break
 			}
 			v.jWDst.FillRange(next+1, start+1, v.jDrive.AnyRange(next+1, start+1))
@@ -451,9 +457,9 @@ func (v *Machine) shiftMoveRing(i int) {
 	}
 }
 
-// GlobalOrBits reduces each block with word-range scans, then uses the
-// physical global-OR line once. Results and charges are identical to
-// GlobalOr.
+// GlobalOrBits reduces each block with word-range scans into the packed
+// per-physical-PE predicate, then uses the physical global-OR line once.
+// Cost: one physical global-OR operation.
 func (v *Machine) GlobalOrBits(pred *ppa.Bitset) bool {
 	v.checkBits("pred", pred)
 	if v.wordBlocks {
@@ -467,9 +473,9 @@ func (v *Machine) GlobalOrBits(pred *ppa.Bitset) bool {
 				lo := (R*k+a)*n + C*k
 				or = pred.AnyRange(lo, lo+k)
 			}
-			v.pOpenB[P] = or
+			v.pOpen.SetTo(P, or)
 		}
 	}
 	v.chargeLocal(v.k * v.k)
-	return v.phys.GlobalOr(v.pOpenB)
+	return v.phys.GlobalOrBits(v.pOpen)
 }

@@ -43,10 +43,11 @@ func newParityMachine(t *testing.T, c packedParityCase) *Machine {
 	return vm
 }
 
-// TestPackedLaneParity is the tentpole's central property: the packed
-// engine (BroadcastBits/WiredOrBits/GlobalOrBits) and the lane-at-a-time
-// reference path (Broadcast/WiredOr/GlobalOr) produce equal outputs AND
-// byte-identical ppa.Metrics on two identically-driven machines — across
+// TestPackedLaneParity is the packed engine's central property: the
+// packed transactions (BroadcastBits/WiredOrBits/GlobalOrBits) and the
+// lane-at-a-time oracle (laneMachine's Broadcast/WiredOr/GlobalOr) produce
+// equal outputs, byte-identical ppa.Metrics AND identical physical
+// observer event streams on two identically-driven machines — across
 // block geometries (covering both the word-mask fast kernels and the
 // generic ones), word widths, worker counts, all four directions, and
 // injected physical switch faults.
@@ -55,10 +56,13 @@ func TestPackedLaneParity(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("n=%d/m=%d/h=%d/w=%d", c.n, c.m, c.h, c.workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c.n)*1000 + int64(c.h)*10 + int64(c.workers)))
-			lane := newParityMachine(t, c)
+			lane := newLaneMachine(newParityMachine(t, c))
 			packed := newParityMachine(t, c)
 			defer lane.Close()
 			defer packed.Close()
+			var laneEvents, packedEvents []ppa.Event
+			lane.Physical().SetObserver(func(e ppa.Event) { laneEvents = append(laneEvents, e) })
+			packed.Physical().SetObserver(func(e ppa.Event) { packedEvents = append(packedEvents, e) })
 			size := c.n * c.n
 			openBits := ppa.NewBitset(size)
 			driveBits := ppa.NewBitset(size)
@@ -116,14 +120,19 @@ func TestPackedLaneParity(t *testing.T) {
 				if lm, pm := lane.Metrics(), packed.Metrics(); lm != pm {
 					t.Fatalf("trial %d: metrics diverged\nlane:   %+v\npacked: %+v", trial, lm, pm)
 				}
+				if len(laneEvents) == 0 || !reflect.DeepEqual(laneEvents, packedEvents) {
+					t.Fatalf("trial %d: physical event streams diverged (%d lane vs %d packed events)",
+						trial, len(laneEvents), len(packedEvents))
+				}
+				laneEvents, packedEvents = laneEvents[:0], packedEvents[:0]
 			}
 		})
 	}
 }
 
 // TestPackedShiftMatchesDirect covers the packed Shift against a direct
-// n x n machine over the sweep geometries (Shift has no []bool twin; the
-// direct machine is its oracle) and pins its cost law.
+// n x n machine over the sweep geometries (the lane oracle has no Shift;
+// the direct machine is its oracle) and pins its cost law.
 func TestPackedShiftMatchesDirect(t *testing.T) {
 	for _, c := range packedParityGrid() {
 		c := c
@@ -152,7 +161,7 @@ func TestPackedShiftMatchesDirect(t *testing.T) {
 
 // TestPackedAliasing drives the packed entry points with aliased
 // operands — the usage the programming layer relies on (reduce into the
-// drive plane, broadcast in place) — against the lane path on separate
+// drive plane, broadcast in place) — against the lane oracle on separate
 // buffers.
 func TestPackedAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -163,10 +172,11 @@ func TestPackedAliasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lane, err := New(n, m, h)
+		lv, err := New(n, m, h)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lane := newLaneMachine(lv)
 		size := n * n
 		openBits := ppa.NewBitset(size)
 		driveBits := ppa.NewBitset(size)
@@ -195,8 +205,11 @@ func TestPackedAliasing(t *testing.T) {
 				}
 			}
 
-			// dst aliases open. Run the lane oracle a second time too so
-			// the cumulative metrics of both machines stay comparable.
+			// dst aliases open. ppa.Fabric does not promise this and no
+			// caller relies on it, but the engine tolerates it; pinned so
+			// a change that stops tolerating it is a deliberate one. Run
+			// the lane oracle a second time too so the cumulative metrics
+			// of both machines stay comparable.
 			openBits.FromBools(open)
 			driveBits.FromBools(drive)
 			vm.WiredOrBits(d, openBits, driveBits, openBits)

@@ -12,14 +12,14 @@
 // physical comm cycles — is the virtualization ablation measured in
 // EXPERIMENTS.md.
 //
-// The packed entry points of the Fabric contract (BroadcastBits,
-// WiredOrBits, GlobalOrBits, plus Shift) are the production engine: the
-// within-block plane passes run as word-level bit scans and segment fills
-// over the packed planes (see packed.go), optionally fanned over the
-// physical machine's persistent ring worker pool. The []bool entry points
-// below remain the lane-at-a-time reference semantics; packed and lane
-// paths produce bit-identical results and byte-identical ppa.Metrics
-// (property-tested in packedparity_test.go).
+// The within-block plane passes run as word-level bit scans and segment
+// fills over the packed planes (see packed.go), optionally fanned over the
+// physical machine's persistent ring worker pool, and every physical
+// transaction takes its switch configuration packed. A lane-at-a-time
+// implementation of the same decomposition is kept as a test oracle; the
+// two produce bit-identical results, byte-identical ppa.Metrics and
+// identical physical observer event streams (property-tested in
+// packedparity_test.go).
 //
 // Results are bit-identical to running a real n x n machine
 // (property-tested against ppa.Machine on random inputs).
@@ -38,25 +38,21 @@ type Machine struct {
 	m    int // physical side
 	k    int // block side, n/m
 
-	// lanes[d][t*m*m+P] lists, for direction d and plane t, physical PE
-	// P's k logical flat indices in flow order. Only the lane-at-a-time
-	// reference path below walks these; the packed engine derives the
-	// same geometry with index arithmetic.
-	lanes [4][][]int
-
 	// Per-physical-PE staging for the packed plane passes (m*m entries
 	// each). The scan kernels write the []bool / []Word forms — distinct
 	// bytes and words, so pooled per-ring workers never share a written
-	// location — and the serial stitch phase packs them for the physical
-	// transactions.
-	pOpenB             []bool     // block has an Open lane on this plane
-	tailB, fullB       []bool     // wired-OR drive decomposition
-	pDriveB, pOrB      []bool     // physical drive / wired-OR result
-	pInject, pRecv     []ppa.Word // broadcast injection/carry values
-	headW              []ppa.Word // head-cluster drive, as 0/1 words
-	shiftHead, shiftOr []ppa.Word // one-bit stitch shift results
-	orW                []ppa.Word // physical wired-OR result as 0/1 words
-	boundary, incoming []ppa.Word // shift block-boundary staging
+	// location — and the serial stitch phase packs pOpenB into pOpen for
+	// the physical transactions. pDrive and pOr are written only serially
+	// or by the physical wired-OR itself, so they are packed throughout.
+	pOpenB             []bool      // block has an Open lane on this plane
+	pOpen              *ppa.Bitset // pOpenB packed; GlobalOrBits' predicate
+	tailB, fullB       []bool      // wired-OR drive decomposition
+	pDrive, pOr        *ppa.Bitset // physical drive / wired-OR result
+	pInject, pRecv     []ppa.Word  // broadcast injection/carry values
+	headW              []ppa.Word  // head-cluster drive, as 0/1 words
+	shiftHead, shiftOr []ppa.Word  // one-bit stitch shift results
+	orW                []ppa.Word  // physical wired-OR result as 0/1 words
+	boundary, incoming []ppa.Word  // shift block-boundary staging
 
 	// Transposed logical planes for vertical passes: a column's
 	// within-block scans become contiguous-bit scans of the transposed
@@ -105,13 +101,13 @@ func New(n, m int, h uint, opts ...ppa.Option) (*Machine, error) {
 		return nil, fmt.Errorf("virt: logical side %d must be a positive multiple of physical side %d", n, m)
 	}
 	v := &Machine{phys: ppa.New(m, h, opts...), n: n, m: m, k: n / m}
-	v.buildLanes()
 	mm := m * m
 	v.pOpenB = make([]bool, mm)
+	v.pOpen = ppa.NewBitset(mm)
 	v.tailB = make([]bool, mm)
 	v.fullB = make([]bool, mm)
-	v.pDriveB = make([]bool, mm)
-	v.pOrB = make([]bool, mm)
+	v.pDrive = ppa.NewBitset(mm)
+	v.pOr = ppa.NewBitset(mm)
 	v.pInject = make([]ppa.Word, mm)
 	v.pRecv = make([]ppa.Word, mm)
 	v.headW = make([]ppa.Word, mm)
@@ -133,44 +129,6 @@ func New(n, m int, h uint, opts ...ppa.Option) (*Machine, error) {
 	v.rowsAligned = n&63 == 0
 	v.wordBlocks = v.rowsAligned && 64%v.k == 0
 	return v, nil
-}
-
-// buildLanes precomputes the logical lane order of every (direction,
-// plane, physical PE) triple.
-func (v *Machine) buildLanes() {
-	n, m, k := v.n, v.m, v.k
-	for d := 0; d < 4; d++ {
-		dir := ppa.Direction(d)
-		v.lanes[d] = make([][]int, k*m*m)
-		for t := 0; t < k; t++ {
-			for R := 0; R < m; R++ {
-				for C := 0; C < m; C++ {
-					P := R*m + C
-					seq := make([]int, k)
-					for j := 0; j < k; j++ {
-						var r, c int
-						if dir.Horizontal() {
-							// Plane t fixes the within-block row; flow
-							// traverses within-block columns.
-							b := j
-							if dir == ppa.West {
-								b = k - 1 - j
-							}
-							r, c = R*k+t, C*k+b
-						} else {
-							a := j
-							if dir == ppa.North {
-								a = k - 1 - j
-							}
-							r, c = R*k+a, C*k+t
-						}
-						seq[j] = r*n + c
-					}
-					v.lanes[d][t*m*m+P] = seq
-				}
-			}
-		}
-	}
 }
 
 // N returns the logical side.
@@ -234,185 +192,4 @@ func (v *Machine) chargeLocal(steps int) {
 		v.phys.CountInstr()
 		v.phys.CountPE(int64(v.m * v.m))
 	}
-}
-
-// Broadcast implements the logical segmented-bus transaction,
-// lane-at-a-time — the reference semantics the packed BroadcastBits
-// engine is property-tested against. Per plane: one local scan finds each
-// physical PE's last logical Open lane, one physical bus cycle moves
-// those injections between blocks, and one local scan walks the carry
-// through each block. Cost: k physical bus cycles.
-func (v *Machine) Broadcast(d ppa.Direction, open []bool, src, dst []ppa.Word) {
-	v.checkLen("open", len(open))
-	v.checkLen("src", len(src))
-	v.checkLen("dst", len(dst))
-	mm := v.m * v.m
-	pOpen := make([]bool, mm)
-	pInject := make([]ppa.Word, mm)
-	pRecv := make([]ppa.Word, mm)
-	const floating = ppa.Word(-1)
-	for t := 0; t < v.k; t++ {
-		planes := v.lanes[d][t*mm : (t+1)*mm]
-		for P := 0; P < mm; P++ {
-			// pInject stays defined (zero) when the block has no Open
-			// lane: a stuck-open fault makes the physical PE inject it
-			// regardless of the requested configuration.
-			pOpen[P] = false
-			pInject[P] = 0
-			for _, L := range planes[P] {
-				if open[L] {
-					pOpen[P] = true
-					pInject[P] = src[L]
-				}
-			}
-			pRecv[P] = floating
-		}
-		v.chargeLocal(v.k)
-		v.phys.Broadcast(d, pOpen, pInject, pRecv)
-		for P := 0; P < mm; P++ {
-			carry := pRecv[P]
-			for _, L := range planes[P] {
-				val := src[L] // read before the (possibly aliased) write
-				if carry != floating {
-					dst[L] = carry
-				}
-				if open[L] {
-					carry = val
-				}
-			}
-		}
-		v.chargeLocal(v.k)
-	}
-}
-
-// WiredOr implements the logical wired-OR, lane-at-a-time — the
-// reference semantics behind the packed WiredOrBits engine. Per plane: a
-// local scan splits each block's drives into head/tail/internal cluster
-// contributions, a one-bit physical shift hands each block's head
-// contribution to its upstream neighbour, one physical wired-OR resolves
-// the clusters that span block boundaries, a second shift hands the
-// result downstream for the blocks' head lanes, and a local scan
-// distributes. Cost: k physical wired-OR cycles + 2k one-bit physical
-// shifts.
-func (v *Machine) WiredOr(d ppa.Direction, open, drive, dst []bool) {
-	v.checkLen("open", len(open))
-	v.checkLen("drive", len(drive))
-	v.checkLen("dst", len(dst))
-	mm := v.m * v.m
-	hasOpen := make([]bool, mm)
-	headDrive := make([]ppa.Word, mm) // OR of drives before the first open (as 0/1 words)
-	tailDrive := make([]bool, mm)     // OR of drives from the last open onward
-	fullDrive := make([]bool, mm)
-	shiftedHead := make([]ppa.Word, mm)
-	pDrive := make([]bool, mm)
-	pOr := make([]bool, mm)
-	pOrW := make([]ppa.Word, mm)
-	shiftedOr := make([]ppa.Word, mm)
-	for t := 0; t < v.k; t++ {
-		planes := v.lanes[d][t*mm : (t+1)*mm]
-		for P := 0; P < mm; P++ {
-			hasOpen[P], tailDrive[P], fullDrive[P] = false, false, false
-			headDrive[P] = 0
-			seenOpen := false
-			for _, L := range planes[P] {
-				if open[L] {
-					seenOpen = true
-					tailDrive[P] = false
-				}
-				if drive[L] {
-					fullDrive[P] = true
-					if !seenOpen {
-						headDrive[P] = 1
-					}
-					if seenOpen {
-						tailDrive[P] = true
-					}
-				}
-			}
-			hasOpen[P] = seenOpen
-		}
-		v.chargeLocal(v.k)
-		// Hand each block's head contribution to its upstream neighbour
-		// (the spanning cluster it belongs to ends there).
-		v.phys.Shift(d.Opposite(), headDrive, shiftedHead)
-		for P := 0; P < mm; P++ {
-			own := fullDrive[P]
-			if hasOpen[P] {
-				own = tailDrive[P]
-			}
-			pDrive[P] = own || shiftedHead[P] != 0
-		}
-		v.chargeLocal(1)
-		v.phys.WiredOr(d, hasOpen, pDrive, pOr)
-		for P := 0; P < mm; P++ {
-			if pOr[P] {
-				pOrW[P] = 1
-			} else {
-				pOrW[P] = 0
-			}
-		}
-		v.chargeLocal(1)
-		// Hand each physical cluster's OR downstream by one block, so a
-		// block's pre-first-open lanes can read their (upstream) cluster.
-		v.phys.Shift(d, pOrW, shiftedOr)
-		for P := 0; P < mm; P++ {
-			seq := planes[P]
-			if !hasOpen[P] {
-				for _, L := range seq {
-					dst[L] = pOr[P]
-				}
-				continue
-			}
-			// Prefix lanes belong to the upstream spanning cluster.
-			j := 0
-			for ; j < len(seq) && !open[seq[j]]; j++ {
-				dst[seq[j]] = shiftedOr[P] != 0
-			}
-			// Internal clusters are fully local; the final cluster spans
-			// into downstream blocks and reads the physical wired-OR.
-			for j < len(seq) {
-				start := j
-				j++
-				for j < len(seq) && !open[seq[j]] {
-					j++
-				}
-				if j < len(seq) {
-					or := false
-					for q := start; q < j; q++ {
-						or = or || drive[seq[q]]
-					}
-					for q := start; q < j; q++ {
-						dst[seq[q]] = or
-					}
-				} else {
-					for q := start; q < len(seq); q++ {
-						dst[seq[q]] = pOr[P]
-					}
-				}
-			}
-		}
-		v.chargeLocal(2 * v.k)
-	}
-}
-
-// GlobalOr reduces each block locally, then uses the physical global-OR
-// line once (lane-at-a-time reference; GlobalOrBits is the packed path).
-func (v *Machine) GlobalOr(pred []bool) bool {
-	v.checkLen("pred", len(pred))
-	mm := v.m * v.m
-	k2 := v.k * v.k
-	pPred := make([]bool, mm)
-	n := v.n
-	for P := 0; P < mm; P++ {
-		R, C := P/v.m, P%v.m
-		for a := 0; a < v.k; a++ {
-			for b := 0; b < v.k; b++ {
-				if pred[(R*v.k+a)*n+C*v.k+b] {
-					pPred[P] = true
-				}
-			}
-		}
-	}
-	v.chargeLocal(k2)
-	return v.phys.GlobalOr(pPred)
 }

@@ -51,6 +51,7 @@ func TestOpsMatchDirectMachine(t *testing.T) {
 		d := ppa.Direction(rng.Intn(4))
 		open, drive, src := randomConfig(rng, n, h)
 
+		openBits, driveBits := ppa.NewBitsetFromBools(open), ppa.NewBitsetFromBools(drive)
 		direct := ppa.New(n, h)
 		vm, err := New(n, m, h)
 		if err != nil {
@@ -64,21 +65,21 @@ func TestOpsMatchDirectMachine(t *testing.T) {
 			dstD[i] = ppa.Word(i % 7)
 			dstV[i] = ppa.Word(i % 7)
 		}
-		direct.Broadcast(d, open, src, dstD)
-		vm.Broadcast(d, open, src, dstV)
+		direct.BroadcastBits(d, openBits, src, dstD)
+		vm.BroadcastBits(d, openBits, src, dstV)
 		if !reflect.DeepEqual(dstD, dstV) {
 			t.Fatalf("trial %d (n=%d m=%d d=%v): Broadcast diverged\nopen=%v\nsrc=%v\ndirect=%v\nvirt=%v",
 				trial, n, m, d, open, src, dstD, dstV)
 		}
 
 		// WiredOr.
-		orD := make([]bool, n*n)
-		orV := make([]bool, n*n)
-		direct.WiredOr(d, open, drive, orD)
-		vm.WiredOr(d, open, drive, orV)
-		if !reflect.DeepEqual(orD, orV) {
+		orD := ppa.NewBitset(n * n)
+		orV := ppa.NewBitset(n * n)
+		direct.WiredOrBits(d, openBits, driveBits, orD)
+		vm.WiredOrBits(d, openBits, driveBits, orV)
+		if !reflect.DeepEqual(orD.Bools(), orV.Bools()) {
 			t.Fatalf("trial %d (n=%d m=%d d=%v): WiredOr diverged\nopen=%v\ndrive=%v\ndirect=%v\nvirt=%v",
-				trial, n, m, d, open, drive, orD, orV)
+				trial, n, m, d, open, drive, orD.Bools(), orV.Bools())
 		}
 
 		// Shift.
@@ -91,7 +92,7 @@ func TestOpsMatchDirectMachine(t *testing.T) {
 		}
 
 		// GlobalOr.
-		if direct.GlobalOr(drive) != vm.GlobalOr(drive) {
+		if direct.GlobalOrBits(driveBits) != vm.GlobalOrBits(driveBits) {
 			t.Fatalf("trial %d: GlobalOr diverged", trial)
 		}
 	}
@@ -103,14 +104,15 @@ func TestOpsInPlaceAliasing(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		d := ppa.Direction(rng.Intn(4))
 		open, _, src := randomConfig(rng, n, h)
+		openBits := ppa.NewBitsetFromBools(open)
 
 		want := make([]ppa.Word, n*n)
 		copy(want, src)
-		ppa.New(n, h).Broadcast(d, open, want, want)
+		ppa.New(n, h).BroadcastBits(d, openBits, want, want)
 
 		vm, _ := New(n, m, h)
 		got := append([]ppa.Word(nil), src...)
-		vm.Broadcast(d, open, got, got)
+		vm.BroadcastBits(d, openBits, got, got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d d=%v: aliased Broadcast diverged", trial, d)
 		}
@@ -137,18 +139,18 @@ func TestVirtualizationCostLaw(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := c.n * c.n
-		open := make([]bool, size)
-		open[0] = true
+		open := ppa.NewBitset(size)
+		open.Set(0)
 		src := make([]ppa.Word, size)
-		drive := make([]bool, size)
+		drive := ppa.NewBitset(size)
 
-		vm.Broadcast(ppa.East, open, src, src)
+		vm.BroadcastBits(ppa.East, open, src, src)
 		got := vm.Metrics()
 		if got.BusCycles != int64(k) {
 			t.Errorf("n=%d m=%d: Broadcast cost %d bus cycles, want k=%d", c.n, c.m, got.BusCycles, k)
 		}
 		vm.ResetMetrics()
-		vm.WiredOr(ppa.South, open, drive, drive)
+		vm.WiredOrBits(ppa.South, open, drive, drive)
 		got = vm.Metrics()
 		if got.WiredOrCycles != int64(k) || got.ShiftSteps != int64(2*k) {
 			t.Errorf("n=%d m=%d: WiredOr cost %d/%d, want %d wired-OR + %d shifts",
@@ -160,7 +162,7 @@ func TestVirtualizationCostLaw(t *testing.T) {
 			t.Errorf("n=%d m=%d: Shift cost %d steps, want k=%d", c.n, c.m, got.ShiftSteps, k)
 		}
 		vm.ResetMetrics()
-		vm.GlobalOr(drive)
+		vm.GlobalOrBits(drive)
 		if got = vm.Metrics(); got.GlobalOrOps != 1 {
 			t.Errorf("GlobalOr ops = %d", got.GlobalOrOps)
 		}
@@ -171,11 +173,11 @@ func TestTrivialVirtualizationMatchesDirectCosts(t *testing.T) {
 	// k = 1 must behave exactly like the direct machine, cycle for cycle.
 	vm, _ := New(5, 5, 8)
 	direct := ppa.New(5, 8)
-	open := make([]bool, 25)
-	open[3] = true
+	open := ppa.NewBitset(25)
+	open.Set(3)
 	src := make([]ppa.Word, 25)
-	vm.Broadcast(ppa.North, open, src, src)
-	direct.Broadcast(ppa.North, open, src, src)
+	vm.BroadcastBits(ppa.North, open, src, src)
+	direct.BroadcastBits(ppa.North, open, src, src)
 	if vm.Metrics().BusCycles != direct.Metrics().BusCycles {
 		t.Errorf("k=1 bus cycles: virt %d, direct %d",
 			vm.Metrics().BusCycles, direct.Metrics().BusCycles)
@@ -189,5 +191,21 @@ func TestLengthValidationPanics(t *testing.T) {
 			t.Fatal("short slice did not panic")
 		}
 	}()
-	vm.Broadcast(ppa.East, make([]bool, 4), make([]ppa.Word, 16), make([]ppa.Word, 16))
+	vm.BroadcastBits(ppa.East, ppa.NewBitset(4), make([]ppa.Word, 16), make([]ppa.Word, 16))
+}
+
+// TestVirtNewAllocs pins construction cost: New allocates the physical
+// machine and its fixed per-machine scratch, nothing that grows with the
+// logical lane count (no per-lane index tables).
+func TestVirtNewAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		v, err := New(64, 8, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Close()
+	})
+	if allocs > 64 {
+		t.Errorf("New(64, 8, 16) made %.0f allocations, want <= 64", allocs)
+	}
 }
