@@ -280,8 +280,26 @@ func discard(*core.Result) error { return nil }
 // SolveSweep over all n destinations vs the same table solved one warm
 // destination at a time. Both run the same fused DP lane, so the
 // per-destination row is the control for the sweep driver's own
-// overhead.
+// overhead. The complete-graph row guards the case with no sparsity for
+// the lane's frontier push to exploit: every entry has n-1 in-edges.
 func BenchmarkAllPairsWallClock(b *testing.B) {
+	sweep := func(name string, g *graph.Graph) {
+		dests := allDests(g.N)
+		b.Run(name, func(b *testing.B) {
+			s, err := core.NewSession(g, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.SolveSweep(context.Background(), dests, discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{16, 32, 64} {
 		g := graph.GenRandomConnected(n, 0.3, 9, 5)
 		dests := allDests(n)
@@ -301,21 +319,9 @@ func BenchmarkAllPairsWallClock(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/sweep", n), func(b *testing.B) {
-			s, err := core.NewSession(g, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.SolveSweep(context.Background(), dests, discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		sweep(fmt.Sprintf("n=%d/sweep", n), g)
 	}
+	sweep("n=64/complete/sweep", graph.GenRandomConnected(64, 1.0, 9, 5))
 }
 
 // weightRewrites returns the update stream of the incremental curves:

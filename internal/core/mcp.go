@@ -41,9 +41,10 @@ type Options struct {
 	// graphs; the default initialization performs the corrected
 	// column-to-row move (two extra bus cycles). See DESIGN.md, deviation 2.
 	PaperInit bool
-	// MaxIterations bounds the DP loop; zero means n+1 (the loop provably
-	// terminates within p+1 <= n rounds on non-negative weights, so
-	// hitting the bound reports an internal error).
+	// MaxIterations bounds the DP loop; zero means n+1 (a cold solve
+	// provably ends within max(1, p) <= n rounds on non-negative weights,
+	// p as in the package comment, so hitting the bound reports an
+	// internal error).
 	MaxIterations int
 	// SwitchOnlyBus computes the bit-serial minima with plain segmented
 	// broadcasts only (par.MinViaSwitches) instead of the wired-OR bus
@@ -133,8 +134,10 @@ type Session struct {
 	wbuf []ppa.Word
 
 	// sc is the per-destination host scratch (sweep.go), allocated on
-	// the first solve and reused for every destination thereafter. It
-	// holds no graph data, so Reload does not invalidate it.
+	// the first solve and reused for every destination thereafter. Its
+	// in-edge adjacency mirrors the weights at one session version, so
+	// Reload and effective Updates (which bump version) mark it stale
+	// and the next solve rebuilds it in place.
 	sc *scratch
 
 	// Incremental re-solve state (update.go / resolve.go): version counts
@@ -325,7 +328,7 @@ func (s *Session) solve(ctx context.Context, dest int, warm bool) (*Result, erro
 		// The fused lane tracks no PTN, and a warm program run's PTN
 		// follows its own trajectory: both take the cold DP's canonical
 		// next pointers from the converged distances (resolve.go).
-		s.canonicalNext(dest, sc)
+		s.canonicalNext(dest)
 	}
 	return s.newResult(dest, sc.sow, sc.next, iterations, s.m.Metrics().Sub(start)), nil
 }

@@ -33,9 +33,9 @@ import (
 // path uses one edge less (PTN is written only on the round where SOW
 // last strictly improves, and the attaining set at that round is exactly
 // those j). canonicalNext reconstructs that choice on the host from the
-// converged distances — a BFS from the destination over reversed tight
-// edges assigns the edge-count levels, then each vertex picks its
-// smallest tight successor one level down. The fused lane uses it for
+// converged distances — one BFS from the destination over reversed tight
+// edges assigns the edge-count levels and picks each vertex's smallest
+// tight successor one level down. The fused lane uses it for
 // every solve, cold or warm (it tracks no PTN at all), and the machine
 // program for warm ones (whose trajectory takes different rounds), so
 // every result is bit-identical to the cold machine program's, not just
@@ -174,54 +174,41 @@ func (s *Session) applyIncreases(w *warmDest, sc *scratch) {
 }
 
 // canonicalNext rebuilds, from converged distances, the next pointers the
-// cold DP reports: BFS from dest over reversed tight edges assigns each
-// reachable vertex the minimum edge count among its optimal paths, then
-// each vertex takes the smallest tight successor one level down (the
-// attaining set of the round where cold SOW last strictly improved).
-func (s *Session) canonicalNext(dest int, sc *scratch) {
-	n := s.m.N()
+// cold DP reports: each reachable vertex's smallest tight successor one
+// edge-count level down (the attaining set of the round where cold SOW
+// last strictly improved). It is one BFS from dest over reversed tight
+// edges, walking the in-edge lists (inEdges): when a vertex j at level L
+// is dequeued, a tight unvisited in-neighbour i gets level L+1 and next
+// j, and a tight i already at level L+1 keeps the smaller of its next
+// and j. Every level-L vertex is dequeued before any of level L+1, so
+// each vertex sees all its tight successors one level down.
+func (s *Session) canonicalNext(dest int) {
 	inf := ppa.Infinity(s.m.Bits())
-	W := s.W.Words()
-	hops := sc.hops
+	sc := s.inEdges()
+	sow, next, hops, in, start := sc.sow, sc.next, sc.hops, sc.in, sc.inStart
 	for i := range hops {
 		hops[i] = -1
+		next[i] = -1
 	}
 	hops[dest] = 0
-	q := append(sc.q[:0], int32(dest))
+	q := append(sc.q[:0], int32(dest)) // cap n: each vertex is queued once
 	for qh := 0; qh < len(q); qh++ {
-		j := int(q[qh])
-		dj := sc.sow[j]
-		for i := 0; i < n; i++ {
-			if hops[i] >= 0 || i == j {
-				continue
-			}
-			di := sc.sow[i]
-			if di == inf {
-				continue
-			}
+		j := q[qh]
+		dj, lv := sow[j], hops[j]+1
+		for _, e := range in[start[j]:start[j+1]] {
 			// Words are at most Infinity(h) <= 2^62-1: no int64 overflow.
-			if wij := W[i*n+j]; wij != inf && di == wij+dj {
-				hops[i] = hops[j] + 1
-				q = append(q, int32(i))
-			}
-		}
-	}
-	sc.q = q[:0]
-	for i := 0; i < n; i++ {
-		if i == dest || sc.sow[i] == inf {
-			sc.next[i] = -1
-			continue
-		}
-		di := sc.sow[i]
-		target := hops[i] - 1
-		sc.next[i] = -1 // a tight successor always exists; belt and braces
-		for j := 0; j < n; j++ {
-			if j == i || hops[j] != target {
+			i := e.i
+			if di := sow[i]; di == inf || di != e.w+dj {
 				continue
 			}
-			if wij := W[i*n+j]; wij != inf && di == wij+sc.sow[j] {
-				sc.next[i] = j
-				break
+			switch hops[i] {
+			case -1:
+				hops[i], next[i] = lv, int(j)
+				q = append(q, i)
+			case lv:
+				if int(j) < next[i] {
+					next[i] = int(j)
+				}
 			}
 		}
 	}

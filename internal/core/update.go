@@ -100,7 +100,8 @@ func (s *Session) Update(updates []graph.WeightUpdate) error {
 	s.upIdx = s.upIdx[:0]
 	s.upVals = s.upVals[:0]
 	words := s.W.Words()
-	bumped := false
+	prev := s.version
+	bumped, reshaped := false, false
 	for _, u := range updates {
 		s.g.W[u.U*n+u.V] = u.W
 		if u.U == u.V {
@@ -129,6 +130,7 @@ func (s *Session) Update(updates []graph.WeightUpdate) error {
 			s.version++
 			bumped = true
 		}
+		reshaped = reshaped || nw == inf || ow == inf
 		s.incLog = append(s.incLog, incEntry{ver: s.version, u: int32(u.U), v: int32(u.V), inc: nw > ow})
 		s.upIdx = append(s.upIdx, i)
 		s.upVals = append(s.upVals, nw)
@@ -142,6 +144,7 @@ func (s *Session) Update(updates []graph.WeightUpdate) error {
 	if len(s.incLog) > s.maxIncLog() {
 		s.invalidateWarm()
 	}
+	s.patchInEdges(prev, reshaped)
 	return nil
 }
 

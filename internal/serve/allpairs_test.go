@@ -265,7 +265,7 @@ func TestAllPairsMidStreamFailure(t *testing.T) {
 // deadline that fires before the first row maps to a plain 504, exactly
 // like /v1/solve.
 func TestAllPairsDeadlinePreStream(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	srv := New(Config{Workers: 1, PhysicalSide: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -276,8 +276,9 @@ func TestAllPairsDeadlinePreStream(t *testing.T) {
 		}
 	}()
 
-	// Destination 0 of a reversed long chain needs n DP rounds on a
-	// 25600-PE machine — far beyond a 1 ms budget, so no row is ever
+	// Destination 0 of a reversed long chain needs n DP rounds of the
+	// machine program on a 25600-PE fabric block-mapped onto 16 x 16 (as
+	// in TestDeadline) — far beyond a 1 ms budget, so no row is ever
 	// produced. (On the forward chain dest 0 converges in one round and
 	// the stream would be committed before the deadline fires.)
 	g := graph.GenChain(160, 3).Transpose()

@@ -230,8 +230,11 @@ func TestE2EConcurrentClients(t *testing.T) {
 
 // TestDeadline verifies a request deadline beats a long solve: the
 // handler answers 504 and the worker abandons the DP between iterations.
+// The sessions are block-mapped (PhysicalSide), so every DP round runs
+// the machine program on the virtualized fabric: the solve outlasts the
+// deadline however fast the host-side fused lane gets.
 func TestDeadline(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	srv := New(Config{Workers: 1, PhysicalSide: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -242,8 +245,9 @@ func TestDeadline(t *testing.T) {
 		}
 	}()
 
-	// A 160-vertex chain to its far end needs 160 DP rounds on a 25600-PE
-	// machine — far beyond a 1 ms budget.
+	// A 160-vertex chain to its far end needs 160 DP rounds of the
+	// machine program on a 25600-PE fabric block-mapped onto 16 x 16 —
+	// far beyond a 1 ms budget.
 	g := graph.GenChain(160, 3)
 	code, _, er, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{
 		Graph: rawGraph(t, g), Dests: []int{159}, TimeoutMS: 1,
@@ -266,7 +270,7 @@ func TestDeadline(t *testing.T) {
 // TestOverload429 fills the bounded queue and expects load shedding with
 // Retry-After, while every accepted request still gets a correct answer.
 func TestOverload429(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
+	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1, PhysicalSide: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -289,10 +293,11 @@ func TestOverload429(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Distinct weights per request: no coalescing, every request
-			// needs its own queue slot. Long chains (many DP iterations,
-			// n=128 fabric) keep the single worker busy for milliseconds
-			// per job — far longer than the burst takes to arrive — so
-			// the depth-1 queue must shed.
+			// needs its own queue slot. Long chains (128 DP rounds of the
+			// machine program on a block-mapped n=128 fabric) keep the
+			// single worker busy for milliseconds per job — far longer
+			// than the burst takes to arrive — so the depth-1 queue must
+			// shed.
 			g := graph.GenChain(128, int64(i+1))
 			code, sr, _, hdr := postSolve(t, ts.Client(), ts.URL, SolveRequest{
 				Graph: rawGraph(t, g), Dests: []int{127},
