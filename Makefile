@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUpdateResolve -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResolveSweep -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzWireEncode -fuzztime=30s ./internal/serve/
 
 examples:
 	$(GO) run ./examples/quickstart

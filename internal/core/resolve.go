@@ -58,12 +58,14 @@ func (s *Session) Resolve(ctx context.Context, dest int) (*Result, error) {
 	if dest < 0 || dest >= n {
 		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, n)
 	}
+	defer s.pruneLog()
 	return s.resolveOne(ctx, dest, false)
 }
 
 // resolveOne is the shared per-destination dispatch of Resolve and
 // ResolveSweep: warm re-solve when a usable snapshot exists, cold solve
-// otherwise, retaining the solution for next time. allowSkip enables
+// otherwise, retaining the solution for next time. Its callers prune the
+// change log once per call (pruneLog). allowSkip enables
 // ResolveSweep's skip-converged fast-out (resolvesweep.go); Resolve keeps
 // it off so its per-call contract — the DP runs and Iterations >= 1 — is
 // unchanged.

@@ -64,10 +64,12 @@ import (
 //
 // Error discipline matches SolveSweep: first failed solve or first
 // non-nil yield error stops the sweep, earlier yields remain valid.
+// Either way the change log is pruned once, when the sweep returns.
 func (s *Session) ResolveSweep(ctx context.Context, dests []int, yield func(*Result) error) error {
 	if err := s.checkDests(dests); err != nil {
 		return err
 	}
+	defer s.pruneLog()
 	for _, d := range dests {
 		r, err := s.resolveOne(ctx, d, true)
 		if err != nil {
@@ -125,10 +127,10 @@ func (s *Session) warmAffected(dest int, w *warmDest) bool {
 // skip-converged fast-out. Zero Iterations and zero Metrics: no DP ran,
 // no fabric transaction was issued, in either execution lane. The
 // snapshot version is refreshed (the certificate just proved the row
-// current) so later sweeps only replay newer log entries.
+// current) so later sweeps only replay newer log entries; the log itself
+// is pruned once the sweep ends.
 func (s *Session) emitRetained(dest int, w *warmDest) *Result {
 	res := s.newResult(dest, w.sow, w.next, 0, ppa.Metrics{})
 	w.ver = s.version
-	s.pruneLog()
 	return res
 }

@@ -154,6 +154,7 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 
 // retain snapshots a finished solve so the next Resolve of the same
 // destination can warm-start from it. Storage is reused across snapshots.
+// The change log is pruned by the caller (pruneLog).
 func (s *Session) retain(dest int, r *Result) {
 	n := s.m.N()
 	inf := ppa.Infinity(s.m.Bits())
@@ -180,12 +181,14 @@ func (s *Session) retain(dest int, r *Result) {
 		w.next[i] = r.Next[i]
 	}
 	w.ver = s.version
-	s.pruneLog()
 }
 
 // pruneLog drops change-log entries no live snapshot can still need:
 // the log is append-ordered by version, so everything at or below the
-// minimum snapshot version is a dead prefix.
+// minimum snapshot version is a dead prefix. It ranges over every
+// snapshot, so Resolve and ResolveSweep call it once per call, not once
+// per row: between Updates snapshot versions only rise, so one prune at
+// the end leaves the log exactly as pruning after every row would.
 func (s *Session) pruneLog() {
 	if len(s.incLog) == 0 {
 		return

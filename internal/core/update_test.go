@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -505,4 +506,102 @@ func FuzzUpdateResolve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChangeLogPrunedPerCall pins the change log's length after every
+// step of update sequences. Resolve and ResolveSweep prune it once per
+// call, on success and on error alike; the expected lengths are what
+// pruning after every row leaves: the entries newer than the oldest live
+// snapshot.
+func TestChangeLogPrunedPerCall(t *testing.T) {
+	all := []int{0, 1, 2, 3, 4, 5}
+	errStop := errors.New("stop")
+	type step struct {
+		update    []graph.WeightUpdate // applied when non-nil
+		resolve   int                  // >= 0: Resolve(resolve)
+		sweep     []int                // ResolveSweep over these dests
+		stopAfter int                  // > 0: yield fails after this many rows
+		log       int                  // change-log length after the step
+	}
+	up := func(log int, ups ...graph.WeightUpdate) step { return step{update: ups, resolve: -1, log: log} }
+	sweep := func(log int, dests ...int) step { return step{sweep: dests, resolve: -1, log: log} }
+	resolve := func(log, dest int) step { return step{resolve: dest, log: log} }
+	e := func(u, v int, w int64) graph.WeightUpdate { return graph.WeightUpdate{U: u, V: v, W: w} }
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"full sweeps", []step{
+			sweep(0, all...),
+			up(2, e(0, 1, 5), e(1, 2, 1)),
+			sweep(0, all...),
+			up(1, e(4, 5, 7)),
+			sweep(0, all...),
+		}},
+		{"partial sweeps keep entries stale snapshots need", []step{
+			sweep(0, all...),
+			up(2, e(0, 1, 5), e(1, 2, 1)),
+			sweep(2, 0, 1, 2),
+			up(3, e(2, 3, 8)),
+			sweep(1, 3, 4, 5),
+			sweep(0, 0, 1, 2),
+		}},
+		{"resolve prunes once per call", []step{
+			sweep(0, all...),
+			up(1, e(3, 4, 1)),
+			resolve(1, 0), resolve(1, 1), resolve(1, 2), resolve(1, 3), resolve(1, 4),
+			resolve(0, 5),
+		}},
+		{"failed sweep still prunes", []step{
+			sweep(0, all...),
+			up(2, e(0, 1, 5), e(1, 2, 1)),
+			sweep(2, 0, 1, 2, 3, 4),
+			up(3, e(2, 3, 8)),
+			{sweep: []int{5, 0, 1, 2, 3, 4}, stopAfter: 1, resolve: -1, log: 1},
+			sweep(0, all...),
+		}},
+		{"no-op and repeated updates", []step{
+			sweep(0, all...),
+			up(0, e(0, 1, 3)),
+			up(2, e(0, 1, 4), e(0, 1, 6)),
+			sweep(0, 5, 4, 3, 2, 1, 0),
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewSession(graph.GenChain(6, 3), Options{Bits: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx := context.Background()
+			for i, st := range c.steps {
+				switch {
+				case st.update != nil:
+					if err := s.Update(st.update); err != nil {
+						t.Fatalf("step %d: Update: %v", i, err)
+					}
+				case st.resolve >= 0:
+					if _, err := s.Resolve(ctx, st.resolve); err != nil {
+						t.Fatalf("step %d: Resolve: %v", i, err)
+					}
+				default:
+					rows := 0
+					err := s.ResolveSweep(ctx, st.sweep, func(*Result) error {
+						rows++
+						if rows == st.stopAfter {
+							return errStop
+						}
+						return nil
+					})
+					if st.stopAfter > 0 && err != errStop || st.stopAfter == 0 && err != nil {
+						t.Fatalf("step %d: ResolveSweep = %v", i, err)
+					}
+				}
+				if got := len(s.incLog); got != st.log {
+					t.Fatalf("step %d: change log holds %d entries, want %d", i, got, st.log)
+				}
+			}
+		})
+	}
 }

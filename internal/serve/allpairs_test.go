@@ -42,6 +42,12 @@ func postAllPairs(t *testing.T, c *http.Client, url string, req AllPairsRequest)
 		t.Fatalf("POST /v1/allpairs: %v", err)
 	}
 	defer resp.Body.Close()
+	return readAllPairs(t, resp)
+}
+
+// readAllPairs parses one /v1/allpairs reply.
+func readAllPairs(t *testing.T, resp *http.Response) *apStream {
+	t.Helper()
 	out := &apStream{code: resp.StatusCode}
 	if resp.StatusCode != http.StatusOK {
 		var er ErrorResponse

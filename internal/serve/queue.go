@@ -21,29 +21,38 @@ var (
 type job struct {
 	ctx   context.Context
 	dests []int
-	// rows, when non-nil, marks a streaming all-pairs job: the worker
-	// sends every destination's result on rows as it lands (the channel is
-	// buffered to n, so a handler that gave up never blocks the worker),
-	// closes rows when the sweep ends, and only then finishes done with
-	// the aggregate cost or error. Streaming jobs never coalesce: the
-	// whole point of the sweep is that one session serves all n
-	// destinations, so sharing a checkout buys nothing and would
-	// interleave two streams' solve order.
-	rows chan DestResult
-	done chan jobDone
+	done  chan jobDone
+	// lend, when non-nil, marks a streaming all-pairs job, which its
+	// handler sweeps on its own goroutine (Server.allPairs): the worker
+	// that dequeues the job lends the handler its slot with one send on
+	// lend, then parks until the handler closes back, so Workers bounds
+	// solves and sweeps together. Streaming jobs never coalesce: one sweep
+	// already serves every destination off one checkout, and sharing it
+	// would interleave two streams' solve order.
+	lend, back chan struct{}
 }
 
 type jobDone struct {
-	results    []DestResult
-	cost       ppa.Metrics
-	iterations int
-	poolHit    bool
-	batched    int
-	err        error
-	status     int // HTTP status to report err with
+	results []DestResult
+	cost    ppa.Metrics
+	poolHit bool
+	batched int
+	err     error
+	status  int // HTTP status to report err with
 }
 
 func (j *job) finish(d jobDone) { j.done <- d }
+
+// lendSlot hands the calling worker's slot to the handler of streaming
+// job j and parks until the handler's sweep returns. A handler whose
+// deadline fired while j was queued is gone; the worker keeps its slot.
+func (j *job) lendSlot() {
+	select {
+	case j.lend <- struct{}{}:
+		<-j.back
+	case <-j.ctx.Done():
+	}
+}
 
 // batch is one session checkout's worth of work: one graph, the jobs
 // queued against it. While a batch sits in the FIFO it is open — later
@@ -98,7 +107,7 @@ func (q *queue) enqueue(j *job, g *graph.Graph, h uint, maxBatch int) error {
 	if q.closed {
 		return ErrShuttingDown
 	}
-	if j.rows == nil {
+	if j.lend == nil {
 		for _, b := range q.open[fp] {
 			if b.h == h && len(b.jobs) < maxBatch && sameGraph(b.g, g) {
 				b.jobs = append(b.jobs, j)
@@ -113,7 +122,7 @@ func (q *queue) enqueue(j *job, g *graph.Graph, h uint, maxBatch int) error {
 		// A streaming batch is exclusive: it is never registered as open,
 		// so later same-graph jobs cannot join it (and it cannot be found
 		// by take's open-list scan, which tolerates absence).
-		if j.rows == nil {
+		if j.lend == nil {
 			q.open[fp] = append(q.open[fp], b)
 		}
 		q.batches++

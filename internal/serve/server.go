@@ -226,8 +226,8 @@ func (s *Server) worker() {
 	for b := range s.q.ch {
 		s.q.take(b)
 		s.inflight.Add(1)
-		if b.jobs[0].rows != nil {
-			s.runAllPairs(b)
+		if j := b.jobs[0]; j.lend != nil {
+			j.lendSlot()
 		} else {
 			s.runBatch(b)
 		}
@@ -304,77 +304,6 @@ func (s *Server) runBatch(b *batch) {
 		default:
 			j.finish(jobDone{err: jerr, status: http.StatusBadRequest})
 		}
-	}
-	if healthy {
-		s.pool.Put(sess)
-	} else {
-		sess.Close()
-	}
-}
-
-// runAllPairs serves one streaming all-pairs job: a single warm session
-// sweeps the destination set (every destination 0..n-1, or the job's
-// requested subset) with one weight DMA, and each row is pushed to the
-// handler the moment it lands. Streaming batches are exclusive, so b holds exactly one job.
-// The panic and deadline contracts match runBatch: a panic fails this
-// job and drops the session; the job's context is observed between
-// destinations and between DP iterations.
-func (s *Server) runAllPairs(b *batch) {
-	j := b.jobs[0]
-	defer close(j.rows)
-	sess, hit, err := s.pool.Get(b.g, b.h)
-	if err != nil {
-		j.finish(jobDone{err: err, status: http.StatusBadRequest})
-		return
-	}
-	dests := j.dests
-	if len(dests) == 0 {
-		dests = make([]int, b.g.N)
-		for d := range dests {
-			dests[d] = d
-		}
-	}
-	var cost ppa.Metrics
-	iterations := 0
-	healthy := true
-	jerr := func() (jerr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				healthy = false
-				s.metrics.RecordPanic()
-				jerr = fmt.Errorf("serve: solve panicked: %v", r)
-			}
-		}()
-		if err := j.ctx.Err(); err != nil {
-			return err
-		}
-		return sess.SolveSweep(j.ctx, dests, func(r *core.Result) error {
-			if s.hookBeforeSolve != nil {
-				s.hookBeforeSolve(r.Dest)
-			}
-			s.metrics.AddSolves(1, r.Metrics)
-			cost = cost.Add(r.Metrics)
-			iterations += r.Iterations
-			j.rows <- toDestResult(r)
-			if s.cfg.SolveDelay > 0 {
-				select {
-				case <-time.After(s.cfg.SolveDelay):
-				case <-j.ctx.Done():
-					return j.ctx.Err()
-				}
-			}
-			return nil
-		})
-	}()
-	switch {
-	case jerr == nil:
-		j.finish(jobDone{cost: cost, iterations: iterations, poolHit: hit, batched: 1})
-	case errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded):
-		j.finish(jobDone{err: jerr, status: http.StatusGatewayTimeout})
-	case !healthy:
-		j.finish(jobDone{err: jerr, status: http.StatusInternalServerError})
-	default:
-		j.finish(jobDone{err: jerr, status: http.StatusBadRequest})
 	}
 	if healthy {
 		s.pool.Put(sess)
@@ -496,11 +425,13 @@ func (s *Server) handleAllPairs(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ObserveLatency(time.Since(start))
 }
 
-// allPairs admits the request, enqueues an exclusive streaming job, and
-// relays rows as NDJSON. The status code is held back until the first
-// event: an error before any row maps to the same HTTP statuses as
-// /v1/solve, while an error mid-stream (the 200 is already on the wire)
-// becomes a final ErrorResponse line with no done:true trailer.
+// allPairs admits the request as an exclusive streaming job, waits for a
+// worker to lend it its slot, and runs the sweep on this goroutine,
+// writing rows as NDJSON under the flush rule (ndjson.go). The status
+// code is held back until the first row: an error before any row maps to
+// the same HTTP statuses as /v1/solve, while an error mid-stream (the 200
+// is already on the wire) becomes a final ErrorResponse line with no
+// done:true trailer.
 func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -560,13 +491,7 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// rows is buffered to the row count so the worker can finish the sweep
-	// and move on even if this handler stops reading.
-	nrows := g.N
-	if len(req.Dests) > 0 {
-		nrows = len(req.Dests)
-	}
-	j := &job{ctx: ctx, dests: req.Dests, rows: make(chan DestResult, nrows), done: make(chan jobDone, 1)}
+	j := &job{ctx: ctx, dests: req.Dests, lend: make(chan struct{}), back: make(chan struct{})}
 	switch err := s.q.enqueue(j, g, h, s.cfg.MaxBatch); {
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
@@ -576,55 +501,144 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 	case err != nil:
 		return writeError(w, http.StatusInternalServerError, "%v", err)
 	}
+	select {
+	case <-j.lend:
+	case <-ctx.Done():
+		// The worker that dequeues the job sees the same context and keeps
+		// its slot.
+		s.metrics.RecordDeadline()
+		return writeError(w, http.StatusGatewayTimeout, "%v", ctx.Err())
+	}
 
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
+	st := newRowStream(w, 0)
+	d := func() sweepDone {
+		defer close(j.back)
+		return s.sweep(ctx, st, g, h, req.Dests)
+	}()
+	if d.err != nil && d.status == http.StatusGatewayTimeout {
+		s.metrics.RecordDeadline()
 	}
-	header := func() {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		_ = enc.Encode(AllPairsHeader{N: g.N, Bits: h})
-		flush()
-	}
-	streaming := false
-	rows := 0
-	// The worker closes j.rows when the sweep ends (success or failure)
-	// and observes j.ctx between destinations, so this loop terminates
-	// even when the client's deadline fires mid-sweep.
-	for row := range j.rows {
-		if !streaming {
-			header()
-			streaming = true
+	switch {
+	case d.err != nil && !d.streaming:
+		return writeError(w, d.status, "%v", d.err)
+	case d.err != nil:
+		if ctx.Err() != nil {
+			// The request deadline is also the write deadline: give the
+			// line that reports the expiry a moment of its own.
+			_ = st.rc.SetWriteDeadline(time.Now().Add(errorLineGrace))
 		}
-		_ = enc.Encode(row)
-		rows++
-		flush()
-	}
-	d := <-j.done
-	if d.err != nil {
-		if d.status == http.StatusGatewayTimeout {
-			s.metrics.RecordDeadline()
-		}
-		if !streaming {
-			return writeError(w, d.status, "%v", d.err)
-		}
-		_ = enc.Encode(ErrorResponse{Error: d.err.Error()})
-		flush()
+		_ = st.line(ErrorResponse{Error: d.err.Error()}, true)
 		return http.StatusOK
 	}
-	if !streaming {
-		header()
-	}
-	_ = enc.Encode(AllPairsTrailer{
-		Done: true, Rows: rows, Cost: d.cost,
+	_ = st.line(AllPairsTrailer{
+		Done: true, Rows: d.rows, Cost: d.cost,
 		Iterations: d.iterations, PoolHit: d.poolHit,
-	})
-	flush()
+	}, true)
 	return http.StatusOK
+}
+
+// errorLineGrace is how long the in-band error line of a /v1/allpairs
+// stream cut by its own deadline may take to write.
+const errorLineGrace = 100 * time.Millisecond
+
+// sweepDone is how one /v1/allpairs sweep ended: the rows written, their
+// summed cost and DP rounds, and on failure the error, the status to
+// report it with before the stream is committed, and whether it was.
+type sweepDone struct {
+	rows, iterations   int
+	cost               ppa.Metrics
+	poolHit, streaming bool
+	err                error
+	status             int
+}
+
+// sweep runs one /v1/allpairs sweep on the handler goroutine, inside the
+// worker slot the handler was lent: a single warm session sweeps the
+// destination set (every destination 0..n-1, or the requested subset)
+// with one weight DMA, and each row is written to st as it lands, the
+// response committed with the first. The panic and deadline contracts
+// match runBatch: a panic fails this request and drops the session; ctx
+// is observed between destinations and between DP iterations. The
+// session is back in the pool (or closed) when sweep returns.
+func (s *Server) sweep(ctx context.Context, st *rowStream, g *graph.Graph, h uint, dests []int) (d sweepDone) {
+	sess, hit, err := s.pool.Get(g, h)
+	if err != nil {
+		return sweepDone{err: err, status: http.StatusBadRequest}
+	}
+	d.poolHit = hit
+	if len(dests) == 0 {
+		dests = make([]int, g.N)
+		for i := range dests {
+			dests[i] = i
+		}
+	}
+	healthy := true
+	d.err = func() (jerr error) {
+		defer func() {
+			if r := recover(); r != nil {
+				healthy = false
+				s.metrics.RecordPanic()
+				jerr = fmt.Errorf("serve: solve panicked: %v", r)
+			}
+		}()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// The test hook fires before each destination's solve: the first
+		// here, the next one after the previous row is written.
+		if s.hookBeforeSolve != nil {
+			s.hookBeforeSolve(dests[0])
+		}
+		return sess.SolveSweep(ctx, dests, func(r *core.Result) error {
+			s.metrics.AddSolves(1, r.Metrics)
+			d.cost = d.cost.Add(r.Metrics)
+			d.iterations += r.Iterations
+			if !d.streaming {
+				// The first row commits the response. The request
+				// deadline becomes the write deadline (where the writer
+				// supports one), so a reader that stops reading holds the
+				// session and the worker slot no longer than its request
+				// may run.
+				d.streaming = true
+				st.w.Header().Set("Content-Type", "application/x-ndjson")
+				st.w.WriteHeader(http.StatusOK)
+				if dl, ok := ctx.Deadline(); ok {
+					_ = st.rc.SetWriteDeadline(dl)
+				}
+				_ = st.line(AllPairsHeader{N: g.N, Bits: h}, false)
+			}
+			if err := st.row(nil, r); err != nil {
+				return err
+			}
+			d.rows++
+			if s.cfg.SolveDelay > 0 {
+				select {
+				case <-time.After(s.cfg.SolveDelay):
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			if s.hookBeforeSolve != nil && d.rows < len(dests) {
+				s.hookBeforeSolve(dests[d.rows])
+			}
+			return nil
+		})
+	}()
+	if healthy {
+		s.pool.Put(sess)
+	} else {
+		sess.Close()
+	}
+	switch {
+	case d.err == nil:
+	case errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded):
+		d.status = http.StatusGatewayTimeout
+	case !healthy:
+		d.status = http.StatusInternalServerError
+	default:
+		d.status = http.StatusBadRequest
+	}
+	return d
 }
 
 // PickBits chooses the machine word width: an explicit request is taken

@@ -172,9 +172,13 @@ const (
 	evClosed
 )
 
+// sessEvent is one stream line handed from the runner to the stream
+// handler. A row carries the runner's *core.Result itself (every Result
+// owns its slices) and is encoded once, by the stream handler.
 type sessEvent struct {
 	kind    sessEventKind
-	row     SessionRow
+	seq     uint64       // evRow
+	res     *core.Result // evRow
 	trailer SessionTrailer
 	msg     string
 }
@@ -411,7 +415,7 @@ func (s *Server) sessionRunner(ls *liveSession, sess *core.Session) {
 			s.metrics.AddSolves(1, r.Metrics)
 			cost = cost.Add(r.Metrics)
 			iterations += r.Iterations
-			if !ls.send(sessEvent{kind: evRow, row: SessionRow{Seq: seq, DestResult: toDestResult(r)}}) {
+			if !ls.send(sessEvent{kind: evRow, seq: seq, res: r}) {
 				return context.Canceled
 			}
 			row++
@@ -562,37 +566,34 @@ func (s *Server) sessionStream(w http.ResponseWriter, r *http.Request) int {
 		ls.mu.Unlock()
 	}()
 
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// Every flush re-arms the write deadline to now + SessionIdleTimeout:
+	// a reader that stops reading costs this handler one idle period, then
+	// the handler returns and the session stays for a reconnect.
+	st := newRowStream(w, s.cfg.SessionIdleTimeout)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_ = enc.Encode(SessionHeader{SessionID: ls.id, N: ls.n, Bits: ls.h, Dests: ls.dests})
-	flush()
+	if st.line(SessionHeader{SessionID: ls.id, N: ls.n, Bits: ls.h, Dests: ls.dests}, true) != nil {
+		return http.StatusOK
+	}
 
-	// writeEvent renders one event; it reports whether the stream is over.
+	// writeEvent renders one event; it reports whether the stream is over,
+	// by a terminal line or a failed write.
 	writeEvent := func(ev sessEvent) bool {
 		ls.touch()
+		var err error
 		switch ev.kind {
 		case evRow:
-			_ = enc.Encode(ev.row)
+			err = st.row(&ev.seq, ev.res)
 		case evTrailer:
-			_ = enc.Encode(ev.trailer)
+			err = st.line(ev.trailer, true)
 		case evError:
-			_ = enc.Encode(ErrorResponse{Error: ev.msg})
-			flush()
+			_ = st.line(ErrorResponse{Error: ev.msg}, true)
 			return true
 		case evClosed:
-			_ = enc.Encode(SessionClosed{Closed: true, Reason: ev.msg})
-			flush()
+			_ = st.line(SessionClosed{Closed: true, Reason: ev.msg}, true)
 			return true
 		}
-		flush()
-		return false
+		return err != nil
 	}
 	for {
 		select {
