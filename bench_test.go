@@ -253,15 +253,19 @@ func BenchmarkSolveWallClock(b *testing.B) {
 		})
 	}
 	session("n=64/session", core.Options{})
-	// The interpretive-kernel ablation of the same session path: the gap
-	// to n=64/session is what the fused bit-sliced kernels buy.
+	// The machine-program ablation of the same session path: the DP as
+	// real bus transactions on the interpretive kernels. The gap to
+	// n=64/session is what the fused DP lane buys.
 	session("n=64/session-reference", core.Options{ReferenceKernels: true})
 	// Virtualization curve: the same warm-session workload block-mapped
 	// onto an m x m physical array (k = 64/m within-block planes per
 	// logical transaction). phys=64 is the k=1 sanity point (direct
-	// execution).
+	// execution). A default virtualized session takes the fused DP lane,
+	// whose speed does not depend on m, so the curve runs with
+	// ReferenceKernels: it times virt's packed engine under the machine
+	// program.
 	for _, phys := range []int{64, 32, 16, 8} {
-		session(fmt.Sprintf("n=64/virt-m=%d", phys), core.Options{PhysicalSide: phys})
+		session(fmt.Sprintf("n=64/virt-m=%d", phys), core.Options{PhysicalSide: phys, ReferenceKernels: true})
 	}
 }
 

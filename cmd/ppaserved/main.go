@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
-	ringWorkers := fs.Int("ring-workers", 1, "simulator ring goroutines per session (1 = serial)")
 	physicalSide := fs.Int("physical-side", 0, "block-mapped virtualization: simulate n-vertex graphs on an m x m physical array when m divides n (0 = direct)")
 	queueDepth := fs.Int("queue", 64, "admission queue depth (full queue answers 429)")
 	poolCap := fs.Int("pool", 64, "idle warm sessions kept across requests")
@@ -75,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 
 	svc := serve.New(serve.Config{
 		Workers:        *workers,
-		RingWorkers:    *ringWorkers,
 		PhysicalSide:   *physicalSide,
 		QueueDepth:     *queueDepth,
 		PoolCap:        *poolCap,

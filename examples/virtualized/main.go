@@ -42,5 +42,5 @@ func main() {
 
 	fmt.Println("\nall runs produced identical distances and next-hop pointers;")
 	fmt.Println("each halving of the physical side doubles the bus and wired-OR cycles —")
-	fmt.Println("the classic SIMD virtualization law, measured (experiment E6).")
+	fmt.Println("the classic SIMD virtualization law (experiment E6).")
 }

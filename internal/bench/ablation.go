@@ -33,7 +33,10 @@ func RunE6() Table {
 		panic(fmt.Sprintf("bench E6: %v", err))
 	}
 	for _, m := range E6PhysicalSides {
-		r, err := core.Solve(g, 1, core.Options{PhysicalSide: m, Bits: base.Bits})
+		// The machine program (ReferenceKernels) issues the physical
+		// transactions, so each row measures the law instead of restating
+		// the fused lane's closed-form geometry term.
+		r, err := core.Solve(g, 1, core.Options{PhysicalSide: m, Bits: base.Bits, ReferenceKernels: true})
 		if err != nil {
 			panic(fmt.Sprintf("bench E6 (m=%d): %v", m, err))
 		}
@@ -70,7 +73,8 @@ func RunE7() Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench E7 wired: %v", err))
 		}
-		switched, err := core.Solve(g, 5, core.Options{Bits: h, SwitchOnlyBus: true})
+		// Measured on the machine program, as in E6.
+		switched, err := core.Solve(g, 5, core.Options{Bits: h, SwitchOnlyBus: true, ReferenceKernels: true})
 		if err != nil {
 			panic(fmt.Sprintf("bench E7 switched: %v", err))
 		}

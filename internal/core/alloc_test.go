@@ -40,10 +40,12 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 // plane-pass staging in machine-owned scratch, so a warm virtualized
 // Solve allocates in the same band as the direct machine — far below the
 // per-lane unpack scratch it replaced (which added ~1000 allocations per
-// solve at n=64 on m=8).
+// solve at n=64 on m=8). The session runs the machine program
+// (ReferenceKernels): a default one takes the fused lane, which never
+// reaches the engine.
 func TestVirtualSolveSteadyStateAllocs(t *testing.T) {
 	g := graph.GenRandomConnected(64, 0.3, 9, 5)
-	s, err := NewSession(g, Options{PhysicalSide: 8})
+	s, err := NewSession(g, Options{PhysicalSide: 8, ReferenceKernels: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,13 +59,12 @@ type Options struct {
 	// multiple of PhysicalSide. Results are identical; communication
 	// cycles scale by k = n/PhysicalSide (the virtualization ablation).
 	PhysicalSide int
-	// ReferenceKernels forces the interpretive bit-serial reduction path
-	// even where the fused bit-sliced kernels apply (see
-	// par.Array.SetFused), and with it the machine-program DP (runDP)
-	// instead of the fused host lane (solveFused). Both are on by
-	// default; results, cost-model counters and observer events are
-	// identical either way — this is a debugging/ablation knob and the
-	// oracle the fast paths are pinned to.
+	// ReferenceKernels runs the machine program (runDP) on the
+	// interpretive par kernels instead of the fused host lane
+	// (solveFused), which every other healthy, unobserved session takes
+	// on any bus model and geometry. Results, cost-model counters and
+	// observer events are identical either way: this is the
+	// debugging/ablation knob and the oracle the fused lane is pinned to.
 	ReferenceKernels bool
 }
 
@@ -122,6 +121,9 @@ type Session struct {
 	m   ppa.Fabric
 	a   *par.Array
 	opt Options
+	// phys is the physical side of a block-mapped fabric (virt.Machine),
+	// 0 on a direct machine: the geometry term of dpCost.
+	phys int
 
 	row, col *par.Var
 	diag     *par.Bool
@@ -219,12 +221,12 @@ func NewSessionOn(m ppa.Fabric, g *graph.Graph, opt Options) (*Session, error) {
 		return nil, err
 	}
 	a := par.New(m)
-	if !opt.ReferenceKernels {
-		a.SetFused(true)
-	}
 	s := &Session{
 		g: g, m: m, a: a, opt: opt,
 		row: a.Row(), col: a.Col(),
+	}
+	if vm, ok := m.(*virt.Machine); ok {
+		s.phys = vm.PhysicalSide()
 	}
 	s.diag = s.row.Eq(s.col)
 	s.rowHead = s.col.EqConst(ppa.Word(n - 1)) // min() clusters: whole rows
@@ -306,8 +308,8 @@ func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
 
 // solve runs one destination's DP and builds its Result — the one
 // dispatch behind every MCP entry point (Solve, SolveSweep, Resolve,
-// ResolveSweep): healthy plain machines run the fused lane (solveFused,
-// sweep.go), every other fabric the machine program (solveProgram). A
+// ResolveSweep): healthy, unobserved fabrics run the fused lane
+// (solveFused, sweep.go), the rest the machine program (solveProgram). A
 // cold solve (warm false) starts from the 1-edge seeds of statements 4-7;
 // a warm one from the distances Resolve staged in the scratch's sow.
 func (s *Session) solve(ctx context.Context, dest int, warm bool) (*Result, error) {
@@ -376,8 +378,8 @@ func (s *Session) maxIter() int {
 }
 
 // solveProgram runs one destination as the real machine program — the
-// lane for virtualized, switch-only, faulty and PaperInit fabrics and for
-// ReferenceKernels sessions, and the oracle the fused lane is pinned to.
+// lane for faulty, observed, PaperInit and ReferenceKernels sessions, and
+// the oracle the fused lane is pinned to.
 // A cold solve runs the initialization statements 4-7 on the machine; a
 // warm one DMAs the staged seed into row d (uncharged, like Reload). Row d
 // of SOW and PTN is copied out to the scratch.
@@ -575,27 +577,29 @@ func loadWeightsInto(dst []ppa.Word, g *graph.Graph, h uint) error {
 	return nil
 }
 
-// PredictedCost returns the cost of one solve on a direct n x n, h-bit
-// machine that converges after iters DP rounds: the machine program's
+// PredictedCost returns the cost of one solve of an n-vertex graph on an
+// h-bit fabric that converges after iters DP rounds: the machine program's
 // init charge plus iters round charges (dpCost), in every ppa.Metrics
-// field. warm prices a Resolve that warm-starts from a retained solution,
-// paperInit the paper's verbatim initialization (cold solves only) and
-// switchOnly the plain-broadcast minima of Options.SwitchOnlyBus.
-// Measured Metrics equal it on every lane; experiments use it to certify
-// the Θ(p·h) complexity claim.
-func PredictedCost(n int, h uint, iters int, warm, paperInit, switchOnly bool) ppa.Metrics {
-	total, round := dpCost(n, h, warm, paperInit, switchOnly)
+// field. phys is the physical side m of a block-mapped fabric
+// (virt.Machine, k = n/m logical PEs per physical PE along each axis), or
+// 0 for a direct n x n machine. warm prices a Resolve that warm-starts
+// from a retained solution, paperInit the paper's verbatim initialization
+// (cold solves only) and switchOnly the plain-broadcast minima of
+// Options.SwitchOnlyBus. Measured Metrics equal it on every lane and
+// geometry; experiments use it to certify the Θ(p·h) complexity claim
+// and the virtualization cost law.
+func PredictedCost(n, phys int, h uint, iters int, warm, paperInit, switchOnly bool) ppa.Metrics {
+	total, round := dpCost(n, phys, h, warm, paperInit, switchOnly)
 	for k := 0; k < iters; k++ {
 		total = total.Add(round)
 	}
 	return total
 }
 
-// dpCost is the machine program's cost schedule on a direct n x n, h-bit
-// machine, stated once: init is what a solve charges before its first DP
-// round, round what each round (statements 10-20) charges. The fused lane
-// charges exactly this and PredictedCost sums it. Every instruction runs
-// on all n² PEs, so PEOps is always Instructions·n².
+// dpCost is the machine program's cost schedule, stated once: init is
+// what a solve charges before its first DP round, round what each round
+// (statements 10-20) charges, on the geometry PredictedCost describes.
+// The fused lane charges exactly this and PredictedCost sums it.
 //
 // A cold init (statements 4-7) issues seven instructions: ROW==d, COL==d,
 // ¬(ROW==d), the SOW and PTN stores, ROW==d ∧ COL==d and SOW[d][d]=0.
@@ -610,27 +614,50 @@ func PredictedCost(n int, h uint, iters int, warm, paperInit, switchOnly bool) p
 // Each minimum adds 5h+2: h bit-plane gathers, four per plane, the enable
 // set-up and the result copy. On the switch-only bus (par.MinSwitchCost)
 // each plane's OR adds four more.
-func dpCost(n int, h uint, warm, paperInit, switchOnly bool) (init, round ppa.Metrics) {
+func dpCost(n, phys int, h uint, warm, paperInit, switchOnly bool) (init, round ppa.Metrics) {
 	wiredOrPerMin, busPerMin := par.MinCost(h)
 	instrPerMin := 5*int64(h) + 2
 	if switchOnly {
 		wiredOrPerMin, busPerMin = par.MinSwitchCost(h)
 		instrPerMin += 4 * int64(h)
 	}
-	init.Instructions = 7
+	initInstr, initBus := int64(7), int64(0)
 	if warm {
-		init.Instructions = 2
+		initInstr = 2
 	} else if !paperInit {
-		init.BusCycles = 2
+		initBus = 2
 	}
-	round = ppa.Metrics{
-		BusCycles:     3 + 2*busPerMin,
-		WiredOrCycles: 2 * wiredOrPerMin,
-		GlobalOrOps:   1,
-		Instructions:  11 + 2*instrPerMin,
-	}
-	size := int64(n) * int64(n)
-	init.PEOps = init.Instructions * size
-	round.PEOps = round.Instructions * size
+	init = price(n, phys, initInstr, initBus, 0, 0)
+	round = price(n, phys, 11+2*instrPerMin, 3+2*busPerMin, 2*wiredOrPerMin, 1)
 	return init, round
+}
+
+// price is the cost of instr program instructions and bus broadcasts,
+// wired-OR and global-OR transactions of an n x n program on its fabric.
+// On a direct machine each transaction is one cycle and each instruction
+// runs on all n² PEs. A block-mapped fabric (virt.Machine, physical side
+// phys, k = n/phys) runs every transaction as k plane passes: k physical
+// bus or wired-OR cycles, plus 2k one-bit stitch shifts per wired-OR and
+// the local scan and fill instructions its chargeLocal issues on the
+// phys² physical PEs — 2k² per broadcast, k(3k+2) per wired-OR and k² per
+// global-OR (virt/packed.go). Program instructions still count n² PE ops.
+func price(n, phys int, instr, bus, wiredOr, globalOr int64) ppa.Metrics {
+	c := ppa.Metrics{
+		BusCycles:     bus,
+		WiredOrCycles: wiredOr,
+		GlobalOrOps:   globalOr,
+		Instructions:  instr,
+		PEOps:         instr * int64(n) * int64(n),
+	}
+	if phys == 0 {
+		return c
+	}
+	k := int64(n / phys)
+	local := 2*k*k*bus + k*(3*k+2)*wiredOr + k*k*globalOr
+	c.BusCycles *= k
+	c.WiredOrCycles *= k
+	c.ShiftSteps = 2 * k * wiredOr
+	c.Instructions += local
+	c.PEOps += local * int64(phys) * int64(phys)
+	return c
 }

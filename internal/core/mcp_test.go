@@ -144,7 +144,7 @@ func TestSolveMetricsMatchPredictedCost(t *testing.T) {
 				continue
 			}
 			r := mustSolve(t, g, dest, Options{PaperInit: paperInit})
-			want := PredictedCost(n, r.Bits, r.Iterations, false, paperInit, false)
+			want := PredictedCost(n, 0, r.Bits, r.Iterations, false, paperInit, false)
 			got := r.Metrics
 			if got.BusCycles != want.BusCycles ||
 				got.WiredOrCycles != want.WiredOrCycles ||

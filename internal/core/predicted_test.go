@@ -12,7 +12,7 @@ import (
 func TestPredictedCostModelSwitchOnly(t *testing.T) {
 	// Switch-only: zero wired-OR; bus per iteration = two minima at 2h+2
 	// each plus the statement-10 broadcast and two diagonal broadcasts.
-	m := PredictedCost(5, 8, 3, false, false, true)
+	m := PredictedCost(5, 0, 8, 3, false, false, true)
 	if m.WiredOrCycles != 0 {
 		t.Errorf("switch-only model has wired-OR cycles: %v", m)
 	}
@@ -33,7 +33,7 @@ func TestPredictedCostModelSwitchOnly(t *testing.T) {
 func TestPredictedCostModelMatchesMeasuredSwitchOnly(t *testing.T) {
 	g := graph.GenDiameter(12, 5)
 	r := mustSolve(t, g, 0, Options{Bits: 10, SwitchOnlyBus: true})
-	if want := PredictedCost(12, 10, r.Iterations, false, false, true); r.Metrics != want {
+	if want := PredictedCost(12, 0, 10, r.Iterations, false, false, true); r.Metrics != want {
 		t.Errorf("measured %v, model %v", r.Metrics, want)
 	}
 }
@@ -57,21 +57,37 @@ func randomTieGraph(rng *rand.Rand, n int, density float64, maxW int64) *graph.G
 // at the measured Iterations — cold solves on both bus models and both
 // init variants, and warm Resolves after random weight updates — on the
 // machine program (ReferenceKernels) and on default sessions, whose fused
-// lane charges the same schedule.
+// lane charges the same schedule, for block factors k ∈ {1, 2, 4, 8}
+// (k = 1 is the direct machine; k > 1 runs block-mapped on an n/k side
+// physical array, on graphs whose n is a multiple of 8).
 func TestPredictedCostMatchesMeasured(t *testing.T) {
-	lanes := []Options{
-		{},
-		{ReferenceKernels: true},
-		{ReferenceKernels: true, SwitchOnlyBus: true},
-		{ReferenceKernels: true, PaperInit: true},
-		{ReferenceKernels: true, PaperInit: true, SwitchOnlyBus: true},
-		{SwitchOnlyBus: true},
+	type lane struct {
+		opt Options
+		k   int
+	}
+	lanes := []lane{
+		{Options{}, 1},
+		{Options{ReferenceKernels: true}, 1},
+		{Options{ReferenceKernels: true, SwitchOnlyBus: true}, 1},
+		{Options{ReferenceKernels: true, PaperInit: true}, 1},
+		{Options{ReferenceKernels: true, PaperInit: true, SwitchOnlyBus: true}, 1},
+		{Options{SwitchOnlyBus: true}, 1},
+	}
+	for _, k := range []int{2, 4, 8} {
+		for _, ref := range []bool{false, true} {
+			for _, sw := range []bool{false, true} {
+				lanes = append(lanes, lane{Options{ReferenceKernels: ref, SwitchOnlyBus: sw}, k})
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(21))
 	ctx := context.Background()
-	warmSolves := make(map[Options]int)
-	for trial := 0; trial < 12; trial++ {
+	warmSolves := make(map[lane]int)
+	for trial := 0; trial < 18; trial++ {
 		n := 2 + rng.Intn(11)
+		if trial >= 12 {
+			n = 8 * (1 + rng.Intn(2))
+		}
 		g := randomTieGraph(rng, n, 0.1+0.5*rng.Float64(), int64(rng.Intn(10)))
 		batch := genUpdates(rng, g, "mixed", 1+rng.Intn(4))
 		updated := g.Clone()
@@ -79,10 +95,18 @@ func TestPredictedCostMatchesMeasured(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := max(g.BitsNeeded(), updated.BitsNeeded()) + uint(rng.Intn(4))
-		for _, lane := range lanes {
-			opt := lane
+		for _, ln := range lanes {
+			phys := 0
+			if ln.k > 1 {
+				if n%8 != 0 {
+					continue
+				}
+				phys = n / ln.k
+			}
+			opt := ln.opt
 			opt.Bits = h
-			name := fmt.Sprintf("trial %d n=%d h=%d %+v", trial, n, h, lane)
+			opt.PhysicalSide = phys
+			name := fmt.Sprintf("trial %d n=%d h=%d k=%d %+v", trial, n, h, ln.k, ln.opt)
 			s, err := NewSession(g, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -93,7 +117,7 @@ func TestPredictedCostMatchesMeasured(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s dest %d: %v", name, dest, err)
 				}
-				want := PredictedCost(n, h, r.Iterations, warm, opt.PaperInit, opt.SwitchOnlyBus)
+				want := PredictedCost(n, phys, h, r.Iterations, warm, opt.PaperInit, opt.SwitchOnlyBus)
 				if r.Metrics != want {
 					t.Errorf("%s dest %d warm=%v: measured %v, predicted %v", name, dest, warm, r.Metrics, want)
 				}
@@ -107,16 +131,16 @@ func TestPredictedCostMatchesMeasured(t *testing.T) {
 			for d := 0; d < n; d++ {
 				warm := s.warmUsable(d) != nil
 				if warm {
-					warmSolves[lane]++
+					warmSolves[ln]++
 				}
 				check(d, warm)
 			}
 			s.Close()
 		}
 	}
-	for _, lane := range lanes {
-		if !lane.PaperInit && warmSolves[lane] == 0 {
-			t.Errorf("%+v: no warm Resolve was priced", lane)
+	for _, ln := range lanes {
+		if !ln.opt.PaperInit && warmSolves[ln] == 0 {
+			t.Errorf("k=%d %+v: no warm Resolve was priced", ln.k, ln.opt)
 		}
 	}
 }

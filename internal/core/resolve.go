@@ -12,7 +12,7 @@ import (
 // cold solve (same lane, same Metrics), but the solution is retained, and
 // later calls warm-start the DP from it instead of from the 1-edge seeds.
 // Both run through the session's one dispatch (Session.solve): the fused
-// lane on healthy plain machines (solveFused, sweep.go), the machine
+// lane on healthy, unobserved fabrics (solveFused, sweep.go), the machine
 // program (runDP) everywhere else; a warm start only changes the seed.
 //
 // Why warm-starting is sound: the DP round operator

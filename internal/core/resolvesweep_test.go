@@ -132,9 +132,10 @@ func TestResolveSweepColdParity(t *testing.T) {
 
 // TestResolveSweepDifferential is the warm differential suite: randomized
 // update streams of every delta class (including edge deletions, W =
-// NoEdge) on every fabric flavor, each generation's ResolveSweep checked
-// destination by destination against a from-scratch solve of the mirror
-// graph and the Bellman-Ford reference.
+// NoEdge) on every fabric flavor, on the fused lane and on the machine
+// program (the reference configurations), each generation's ResolveSweep
+// checked destination by destination against a from-scratch solve of the
+// mirror graph and the Bellman-Ford reference.
 func TestResolveSweepDifferential(t *testing.T) {
 	const n = 12
 	configs := []struct {
@@ -144,7 +145,9 @@ func TestResolveSweepDifferential(t *testing.T) {
 		{"direct", Options{Bits: 12}},
 		{"reference", Options{Bits: 12, ReferenceKernels: true}},
 		{"switch-only", Options{Bits: 12, SwitchOnlyBus: true}},
+		{"switch-only-reference", Options{Bits: 12, SwitchOnlyBus: true, ReferenceKernels: true}},
 		{"virt-m6", Options{Bits: 12, PhysicalSide: 6}},
+		{"virt-m6-reference", Options{Bits: 12, PhysicalSide: 6, ReferenceKernels: true}},
 	}
 	dests := make([]int, n)
 	for d := range dests {
@@ -382,30 +385,37 @@ func TestResolveSweepSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzResolveSweep replays an arbitrary byte string as an update stream on
-// a live session, each batch followed by a ResolveSweep over a
-// mask-selected destination subset — every row checked against a
-// from-scratch solve of the mirror graph and the Bellman-Ford reference.
+// a live session on the fabric byte 3 picks (fuzzFabric), each batch
+// followed by a ResolveSweep over a mask-selected destination subset —
+// every row checked against a from-scratch solve of the mirror graph by a
+// ReferenceKernels session on the same fabric and the Bellman-Ford
+// reference, with the full Metrics/Iterations check on cold-class rows.
 func FuzzResolveSweep(f *testing.F) {
-	f.Add([]byte{5, 3, 40, 0xff, 1, 0, 1, 2, 3, 2, 1, 4, 0x0b})
-	f.Add([]byte{3, 9, 20, 0x05, 2, 0, 1, 0, 1, 2, 11, 0xff, 1, 1, 0, 10, 0x03})
-	f.Add([]byte{7, 1, 55, 0x81, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{5, 3, 40, 0, 0xff, 1, 0, 1, 2, 3, 2, 1, 4, 0x0b})
+	f.Add([]byte{3, 9, 20, 0, 0x05, 2, 0, 1, 0, 1, 2, 11, 0xff, 1, 1, 0, 10, 0x03})
+	f.Add([]byte{7, 1, 55, 0, 0x81, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{5, 4, 30, 1, 0xff, 1, 0, 1, 11, 0x3c, 2, 3, 0, 1, 4, 5, 2}) // switch-only
+	f.Add([]byte{5, 6, 45, 8, 0xff, 2, 0, 1, 3, 7, 6, 11, 0xa5, 1, 2, 0, 4}) // virt, n=8 on m=4
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 8 {
+		if len(data) < 9 {
 			t.Skip()
 		}
 		n := 3 + int(data[0]%6)
 		seed := int64(data[1])
 		density := 0.2 + float64(data[2]%60)/100
 		g := graph.GenRandom(n, density, 9, seed)
-		opt := Options{Bits: 12}
+		opt := fuzzFabric(data[3], n)
+		ref := opt
+		ref.ReferenceKernels = true
 		s, err := NewSession(g, opt)
 		if err != nil {
 			t.Skip()
 		}
 		defer s.Close()
 		mirror := g.Clone()
+		coldSeen := make(map[int]bool)
 		ctx := context.Background()
-		i := 3
+		i := 4
 		for i+4 < len(data) {
 			mask := data[i]
 			k := 1 + int(data[i+1]%3)
@@ -445,7 +455,16 @@ func FuzzResolveSweep(f *testing.F) {
 					t.Fatalf("row %d: dest %d, want %d", rows, r.Dest, dests[rows])
 				}
 				rows++
-				checkResolved(t, r, mirror, r.Dest, opt)
+				cold := checkResolved(t, r, mirror, r.Dest, ref)
+				if !coldSeen[r.Dest] {
+					// A destination's first row is cold-class: its cost
+					// accounting must match the reference solve too.
+					if r.Iterations != cold.Iterations || r.Metrics != cold.Metrics {
+						t.Fatalf("cold-class dest %d: iterations %d vs %d, metrics\nrow:  %+v\ncold: %+v",
+							r.Dest, r.Iterations, cold.Iterations, r.Metrics, cold.Metrics)
+					}
+					coldSeen[r.Dest] = true
+				}
 				return nil
 			})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ppamcp/internal/ppa"
+	"ppamcp/internal/virt"
 )
 
 // This file is the fused DP lane and the batched multi-destination sweep
@@ -12,14 +13,17 @@ import (
 //
 // The fused lane (solveFused) is the one host execution of the paper's
 // per-destination DP, taken by cold solves, warm re-solves and sweeps
-// alike on every healthy, unobserved plain machine (fusedMachine). It
-// issues no fabric transaction. Its cost is the machine program's
-// closed-form schedule (dpCost): the init charge once, then one round
-// charge per round, each applied in a single ppa.Machine.Charge. Metrics
-// and Iterations are therefore identical to the machine program's
-// (runDP), pinned by the fused/reference parity tests and PredictedCost's
-// property test. An attached observer sends the session to the machine
-// program, so observers always see the real transaction stream.
+// alike on every healthy, unobserved fabric (fusedMachine): direct or
+// block-mapped, on either bus model. It issues no fabric transaction. Its
+// cost is the machine program's closed-form schedule (dpCost), which takes
+// the bus model and the array geometry as parameters: the init charge
+// once, then one round charge per round, each applied in a single
+// ppa.Machine.Charge on the machine that counts (a virt.Machine's physical
+// one). Metrics and Iterations are therefore identical to the machine
+// program's (runDP), pinned by the fused/reference parity tests and
+// PredictedCost's property test. An attached observer sends the session
+// to the machine program, so observers always see the real transaction
+// stream.
 //
 // What makes the lane cheap is liveness: between rounds the DP's only
 // live machine state is row d of SOW. Every broadcast the program issues
@@ -240,18 +244,27 @@ func (s *Session) SolveSweep(ctx context.Context, dests []int, yield func(*Resul
 	return nil
 }
 
-// fusedMachine returns the plain machine the fused lane may drive, or nil
-// when the machine program must run: virtualized fabrics, injected
-// faults, an attached observer, the switch-only bus model, reference
-// kernels and the paper's verbatim init. Re-checked per destination, so a
-// fault injected mid-sweep (e.g. from a yield callback) demotes the
-// remainder of the sweep to the machine program, mirroring par's fusedOn.
+// fusedMachine returns the machine whose counters the fused lane charges
+// — the plain machine, or a virt.Machine's physical one — or nil when the
+// machine program must run: reference kernels, the paper's verbatim init
+// (its erratum seed leaves next pointers canonicalNext cannot rebuild),
+// a foreign fabric, injected faults or an attached observer. Re-checked
+// per destination, so a fault injected mid-sweep (e.g. from a yield
+// callback) demotes the remainder of the sweep to the machine program.
 func (s *Session) fusedMachine() *ppa.Machine {
-	if s.opt.SwitchOnlyBus || s.opt.ReferenceKernels || s.opt.PaperInit || !s.a.Fused() {
+	if s.opt.ReferenceKernels || s.opt.PaperInit {
 		return nil
 	}
-	pm, ok := s.m.(*ppa.Machine)
-	if !ok || pm.Faulty() || pm.Observed() {
+	var pm *ppa.Machine
+	switch m := s.m.(type) {
+	case *ppa.Machine:
+		pm = m
+	case *virt.Machine:
+		pm = m.Physical()
+	default:
+		return nil
+	}
+	if pm.Faulty() || pm.Observed() {
 		return nil
 	}
 	return pm
@@ -266,7 +279,7 @@ func (s *Session) solveFused(ctx context.Context, pm *ppa.Machine, dest int, war
 	maxIter := s.maxIter()
 	sc := s.inEdges()
 	sow, rmin, in, start := sc.sow, sc.rmin, sc.in, sc.inStart
-	initCost, roundCost := dpCost(pm.N(), pm.Bits(), warm, false, false)
+	initCost, roundCost := dpCost(s.m.N(), s.phys, pm.Bits(), warm, false, s.opt.SwitchOnlyBus)
 	pm.Charge(initCost)
 	if !warm {
 		for j := range sow {

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ppamcp/internal/graph"
 	"ppamcp/internal/ppa"
+	"ppamcp/internal/virt"
 )
 
 // sweepAll collects SolveSweep results for every destination of s's graph.
@@ -93,58 +95,82 @@ func TestSolveSweepParity(t *testing.T) {
 	}
 }
 
-// TestSolveSweepFaultParity covers damaged fabrics: with switch faults
-// injected the sweep must run the reference instruction sequence and stay
-// byte-identical to sequential solves on an identically damaged machine —
-// including corrupted outputs (a silent fault corrupts both the same way).
+// TestSolveSweepFaultParity covers damaged fabrics, direct and
+// block-mapped (faults injected into the physical machine): with switch
+// faults injected the sweep must run the reference instruction sequence
+// and stay byte-identical to sequential ReferenceKernels solves on an
+// identically damaged machine — including corrupted outputs (a silent
+// fault corrupts both the same way).
 func TestSolveSweepFaultParity(t *testing.T) {
 	g := graph.GenRandomConnected(8, 0.4, 20, 6)
 	h := g.BitsNeeded()
-	for _, kind := range []ppa.FaultKind{ppa.StuckShort, ppa.StuckOpen} {
-		for _, pe := range []int{0, 13, 37, 63} {
-			mSweep := ppa.New(g.N, h)
-			mSweep.InjectFault(pe, kind)
-			mSeq := ppa.New(g.N, h)
-			mSeq.InjectFault(pe, kind)
-			sw, err := NewSessionOn(mSweep, g, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sq, err := NewSessionOn(mSeq, g, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := g.N
-			dests := make([]int, n)
-			for d := range dests {
-				dests[d] = d
-			}
-			swept := make([]*Result, 0, n)
-			sweepErr := sw.SolveSweep(context.Background(), dests, func(r *Result) error {
-				swept = append(swept, r)
-				return nil
-			})
-			for d := 0; d < n; d++ {
-				seq, seqErr := sq.Solve(d)
-				if seqErr != nil {
-					// The damaged DP diverged: the sweep must have failed at
-					// the same destination with the same error.
-					if sweepErr == nil || len(swept) != d || sweepErr.Error() != seqErr.Error() {
-						t.Fatalf("fault %v@%d dest %d: sequential error %v, sweep yielded %d results with error %v",
-							kind, pe, d, seqErr, len(swept), sweepErr)
-					}
-					break
+	// damaged builds the fabric and the machine whose switches fail.
+	damaged := func(phys int) (ppa.Fabric, *ppa.Machine) {
+		if phys == 0 {
+			m := ppa.New(g.N, h)
+			return m, m
+		}
+		vm, err := virt.New(g.N, phys, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm, vm.Physical()
+	}
+	for _, phys := range []int{0, 4} {
+		for _, kind := range []ppa.FaultKind{ppa.StuckShort, ppa.StuckOpen} {
+			for _, pe := range []int{0, 13, 37, 63} {
+				fSweep, mSweep := damaged(phys)
+				fSeq, mSeq := damaged(phys)
+				pe := pe % (mSweep.N() * mSweep.N())
+				mSweep.InjectFault(pe, kind)
+				mSeq.InjectFault(pe, kind)
+				sw, err := NewSessionOn(fSweep, g, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if d >= len(swept) {
-					t.Fatalf("fault %v@%d: sweep stopped after %d results (%v), sequential succeeded at dest %d",
-						kind, pe, len(swept), sweepErr, d)
+				sq, err := NewSessionOn(fSeq, g, Options{ReferenceKernels: true})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(swept[d], seq) {
-					t.Errorf("fault %v@%d dest %d: sweep and sequential solves diverge", kind, pe, d)
-				}
+				sweepFaultParity(t, sw, sq, fmt.Sprintf("phys=%d fault %v@%d", phys, kind, pe))
+				sw.Close()
+				sq.Close()
 			}
-			sw.Close()
-			sq.Close()
+		}
+	}
+}
+
+// sweepFaultParity sweeps every destination on sw and checks each row, or
+// the first error, against sequential solves on sq.
+func sweepFaultParity(t *testing.T, sw, sq *Session, name string) {
+	t.Helper()
+	n := sw.N()
+	dests := make([]int, n)
+	for d := range dests {
+		dests[d] = d
+	}
+	swept := make([]*Result, 0, n)
+	sweepErr := sw.SolveSweep(context.Background(), dests, func(r *Result) error {
+		swept = append(swept, r)
+		return nil
+	})
+	for d := 0; d < n; d++ {
+		seq, seqErr := sq.Solve(d)
+		if seqErr != nil {
+			// The damaged DP diverged: the sweep must have failed at the
+			// same destination with the same error.
+			if sweepErr == nil || len(swept) != d || sweepErr.Error() != seqErr.Error() {
+				t.Fatalf("%s dest %d: sequential error %v, sweep yielded %d results with error %v",
+					name, d, seqErr, len(swept), sweepErr)
+			}
+			return
+		}
+		if d >= len(swept) {
+			t.Fatalf("%s: sweep stopped after %d results (%v), sequential succeeded at dest %d",
+				name, len(swept), sweepErr, d)
+		}
+		if !reflect.DeepEqual(swept[d], seq) {
+			t.Errorf("%s dest %d: sweep and sequential solves diverge", name, d)
 		}
 	}
 }
@@ -154,56 +180,74 @@ func TestSolveSweepFaultParity(t *testing.T) {
 // transactions) for the machine program, so across a sweep, single solves,
 // an update and warm re-solves its event stream — op kinds, directions and
 // Open counts, in order — and every Result equal those of a
-// ReferenceKernels session.
+// ReferenceKernels session, on a direct machine and on a block-mapped one
+// observed through its physical machine.
 func TestSolveSweepEventStreamParity(t *testing.T) {
 	g := graph.GenRandomConnected(8, 0.4, 20, 9)
 	h := g.BitsNeeded()
 	ctx := context.Background()
 	batch := []graph.WeightUpdate{{U: 0, V: 3, W: 1}, {U: 5, V: 2, W: graph.NoEdge}}
-	run := func(opt Options) ([]*Result, []ppa.Event) {
-		m := ppa.New(g.N, h)
-		var evs []ppa.Event
-		m.SetObserver(func(e ppa.Event) { evs = append(evs, e) })
-		s, err := NewSessionOn(m, g, opt)
+	for _, phys := range []int{0, 4} {
+		got, gotEvs := observedRun(t, g, h, phys, Options{}, ctx, batch)
+		want, wantEvs := observedRun(t, g, h, phys, Options{ReferenceKernels: true}, ctx, batch)
+		if len(gotEvs) == 0 {
+			t.Fatalf("phys=%d: observed default session raised no events", phys)
+		}
+		if !reflect.DeepEqual(gotEvs, wantEvs) {
+			t.Fatalf("phys=%d: observed default and reference event streams diverge: %d vs %d events",
+				phys, len(gotEvs), len(wantEvs))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("phys=%d: observed default and reference results diverge", phys)
+		}
+	}
+}
+
+// observedRun drives one observed session (block-mapped on a phys-side
+// physical machine when phys > 0) through a sweep, single solves, warm
+// re-solves around an update and a warm sweep, returning every Result and
+// the observed event stream.
+func observedRun(t *testing.T, g *graph.Graph, h uint, phys int, opt Options,
+	ctx context.Context, batch []graph.WeightUpdate) ([]*Result, []ppa.Event) {
+	t.Helper()
+	m := ppa.New(g.N, h)
+	var f ppa.Fabric = m
+	if phys > 0 {
+		vm, err := virt.New(g.N, phys, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		out := sweepAll(t, s)
-		r, err := s.Solve(3)
-		if err != nil {
+		f, m = vm, vm.Physical()
+	}
+	var evs []ppa.Event
+	m.SetObserver(func(e ppa.Event) { evs = append(evs, e) })
+	s, err := NewSessionOn(f, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	out := sweepAll(t, s)
+	r, err := s.Solve(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, r)
+	for _, d := range []int{1, 6} {
+		if r, err = s.Resolve(ctx, d); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, r)
-		for _, d := range []int{1, 6} {
-			if r, err = s.Resolve(ctx, d); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, r)
-		}
-		if err := s.Update(batch); err != nil {
+	}
+	if err := s.Update(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{1, 6} {
+		if r, err = s.Resolve(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range []int{1, 6} {
-			if r, err = s.Resolve(ctx, d); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, r)
-		}
-		return append(out, resolveSweepAll(t, s)...), evs
+		out = append(out, r)
 	}
-	got, gotEvs := run(Options{})
-	want, wantEvs := run(Options{ReferenceKernels: true})
-	if len(gotEvs) == 0 {
-		t.Fatal("observed default session raised no events")
-	}
-	if !reflect.DeepEqual(gotEvs, wantEvs) {
-		t.Fatalf("observed default and reference event streams diverge: %d vs %d events",
-			len(gotEvs), len(wantEvs))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("observed default and reference results diverge")
-	}
+	return append(out, resolveSweepAll(t, s)...), evs
 }
 
 // TestSolveSweepReload covers the pooled-serving pattern: the same warm

@@ -94,7 +94,8 @@ func checkResolved(t *testing.T, r *Result, mirror *graph.Graph, dest int, opt O
 }
 
 // TestUpdateResolveDifferential replays randomized update streams of each
-// delta class on every fabric flavor and checks each incremental
+// delta class on every fabric flavor, on the fused lane and on the machine
+// program (the reference configurations), and checks each incremental
 // Update+Resolve against a from-scratch solve of an independently
 // maintained mirror graph (Graph.Apply — the two update paths must agree
 // too).
@@ -107,7 +108,9 @@ func TestUpdateResolveDifferential(t *testing.T) {
 		{"direct", Options{Bits: 12}},
 		{"reference", Options{Bits: 12, ReferenceKernels: true}},
 		{"switch-only", Options{Bits: 12, SwitchOnlyBus: true}},
+		{"switch-only-reference", Options{Bits: 12, SwitchOnlyBus: true, ReferenceKernels: true}},
 		{"virt-m6", Options{Bits: 12, PhysicalSide: 6}},
+		{"virt-m6-reference", Options{Bits: 12, PhysicalSide: 6, ReferenceKernels: true}},
 	}
 	for _, cfg := range configs {
 		for _, mode := range []string{"decrease", "increase", "mixed"} {
@@ -434,23 +437,48 @@ func TestResolvePaperInitNeverWarm(t *testing.T) {
 	}
 }
 
-// FuzzUpdateResolve replays an arbitrary byte string as an update stream:
-// batches of (u, v, w) edits followed by a Resolve, each checked against
-// a from-scratch solve of the mirror graph — with the full
-// Metrics/Iterations check on the cold-class calls.
+// fuzzFabric maps one fuzz input byte to the fabric a fuzzed session runs
+// on: the direct machine, the switch-only bus, or block-mapped execution
+// on a physical side m < n that divides n (n >= 2).
+func fuzzFabric(b byte, n int) Options {
+	opt := Options{Bits: 12}
+	switch b % 3 {
+	case 1:
+		opt.SwitchOnlyBus = true
+	case 2:
+		var sides []int
+		for m := 1; m < n; m++ {
+			if n%m == 0 {
+				sides = append(sides, m)
+			}
+		}
+		opt.PhysicalSide = sides[int(b/3)%len(sides)]
+	}
+	return opt
+}
+
+// FuzzUpdateResolve replays an arbitrary byte string as an update stream
+// on the fabric byte 3 picks (fuzzFabric): batches of (u, v, w) edits
+// followed by a Resolve, each checked against a from-scratch solve of the
+// mirror graph by a ReferenceKernels session on the same fabric — with
+// the full Metrics/Iterations check on the cold-class calls.
 func FuzzUpdateResolve(f *testing.F) {
-	f.Add([]byte{5, 3, 40, 0, 1, 2, 3, 2, 1, 4, 5, 0, 2, 11, 1})
-	f.Add([]byte{3, 9, 20, 1, 0, 10, 0, 1, 0, 10, 2, 2, 1, 5, 1, 0, 2, 9, 0})
-	f.Add([]byte{7, 1, 55, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{5, 3, 40, 0, 0, 1, 2, 3, 2, 1, 4, 5, 0, 2, 11, 1})
+	f.Add([]byte{3, 9, 20, 0, 1, 0, 10, 0, 1, 0, 10, 2, 2, 1, 5, 1, 0, 2, 9, 0})
+	f.Add([]byte{7, 1, 55, 0, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{5, 4, 30, 1, 1, 0, 1, 11, 2, 3, 0, 1, 4, 5, 2, 6, 1}) // switch-only
+	f.Add([]byte{5, 6, 45, 5, 2, 0, 1, 3, 7, 6, 11, 5, 1, 2, 0, 4, 3}) // virt, n=8 on m=2
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 7 {
+		if len(data) < 8 {
 			t.Skip()
 		}
 		n := 3 + int(data[0]%6)
 		seed := int64(data[1])
 		density := 0.2 + float64(data[2]%60)/100
 		g := graph.GenRandom(n, density, 9, seed)
-		opt := Options{Bits: 12}
+		opt := fuzzFabric(data[3], n)
+		ref := opt
+		ref.ReferenceKernels = true
 		s, err := NewSession(g, opt)
 		if err != nil {
 			t.Skip()
@@ -459,7 +487,7 @@ func FuzzUpdateResolve(f *testing.F) {
 		mirror := g.Clone()
 		coldSeen := make(map[int]bool)
 		ctx := context.Background()
-		i := 3
+		i := 4
 		for i+3 < len(data) {
 			k := 1 + int(data[i]%3)
 			i++
@@ -491,7 +519,7 @@ func FuzzUpdateResolve(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Resolve(%d): %v", dest, err)
 			}
-			cold := checkResolved(t, r, mirror, dest, opt)
+			cold := checkResolved(t, r, mirror, dest, ref)
 			if !coldSeen[dest] {
 				// First Resolve per destination is the from-scratch
 				// equivalence class: cost accounting must match too.

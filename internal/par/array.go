@@ -40,11 +40,6 @@ type Array struct {
 	freeVars  []*Var
 	freeBits  []*ppa.Bitset
 	freeWords [][]ppa.Word
-
-	// fused selects the bit-sliced fast path for the bus reductions (see
-	// fused.go); planeBuf is its reusable plane arena (h packed planes).
-	fused    bool
-	planeBuf []uint64
 }
 
 // New returns a context on fabric m with all PEs active. The fabric is

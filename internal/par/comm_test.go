@@ -262,6 +262,57 @@ func TestSelectedMinDoesNotClobberSelection(t *testing.T) {
 	}
 }
 
+// randOpenPlane builds a switch plane stressing every cluster topology the
+// reductions must handle: whole-ring clusters (the paper's MCP case, one
+// Open PE per ring), multi-cluster rings (several heads), and floating
+// rings (no head at all).
+func randOpenPlane(rng *rand.Rand, n int) []bool {
+	open := make([]bool, n*n)
+	for r := 0; r < n; r++ {
+		switch rng.Intn(3) {
+		case 0: // single head: a whole-ring cluster
+			open[r*n+rng.Intn(n)] = true
+		case 1: // multi-cluster ring
+			for c := 0; c < n; c++ {
+				open[r*n+c] = rng.Intn(4) == 0
+			}
+		default: // floating ring (left all-Short)
+		}
+	}
+	return open
+}
+
+// TestSelectedReductionsNeverMutateSelection pins the lazy-copy contract:
+// SelectedMin, SelectedMax and SelectedMinViaSwitches must never write
+// through the caller's selection mask, on random operands, switch planes
+// and selections.
+func TestSelectedReductionsNeverMutateSelection(t *testing.T) {
+	const n, h = 8, 8
+	rng := rand.New(rand.NewSource(99))
+	a := New(ppa.New(n, h))
+	flat := make([]ppa.Word, n*n)
+	for i := range flat {
+		flat[i] = ppa.Word(rng.Int63n(int64(ppa.Infinity(h)) + 1))
+	}
+	openB := randOpenPlane(rng, n)
+	selB := make([]bool, n*n)
+	for i := range selB {
+		selB[i] = rng.Intn(2) == 0
+	}
+	src := a.FromSlice(flat)
+	open := a.FromBools(openB)
+	sel := a.FromBools(selB)
+	a.SelectedMin(src, ppa.East, open, sel).Release()
+	a.SelectedMax(src, ppa.West, open, sel).Release()
+	a.SelectedMinViaSwitches(src, ppa.East, open, sel).Release()
+	got := sel.Slice()
+	for i := range selB {
+		if got[i] != selB[i] {
+			t.Fatalf("selection lane %d mutated: now %v, was %v", i, got[i], selB[i])
+		}
+	}
+}
+
 // TestMinMultiClusterHeadArtifact pins down the hardware-faithful artifact
 // documented on Min: with several clusters per ring, a cluster whose unique
 // minimum is its own head fetches its result from the neighbouring

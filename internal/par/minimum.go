@@ -31,9 +31,6 @@ import "ppamcp/internal/ppa"
 // transactions — the paper's central complexity claim, measured by
 // experiment E1.
 func (a *Array) Min(src *Var, orientation ppa.Direction, open *Bool) *Var {
-	if m := a.fusedOn(); m != nil {
-		return a.fusedReduce(m, src, orientation, open, nil, true)
-	}
 	return a.minimumOn(src, orientation, open, a.True(), true, (*Array).Or)
 }
 
@@ -45,9 +42,6 @@ func (a *Array) Min(src *Var, orientation ppa.Direction, open *Bool) *Var {
 // written (a private enable set is copied off it).
 func (a *Array) SelectedMin(src *Var, orientation ppa.Direction, open, sel *Bool) *Var {
 	a.check(sel.a)
-	if m := a.fusedOn(); m != nil {
-		return a.fusedReduce(m, src, orientation, open, sel, true)
-	}
 	return a.minimumOn(src, orientation, open, sel, false, (*Array).Or)
 }
 
@@ -106,9 +100,6 @@ func (a *Array) minimumOn(src *Var, orientation ppa.Direction, open, sel *Bool, 
 // withdraw). Not used by the paper's MCP, but part of the machine's
 // natural primitive set — same Θ(h) cost.
 func (a *Array) Max(src *Var, orientation ppa.Direction, open *Bool) *Var {
-	if m := a.fusedOn(); m != nil {
-		return a.fusedReduce(m, src, orientation, open, nil, false)
-	}
 	return a.maximum(src, orientation, open, a.True(), true)
 }
 
@@ -116,9 +107,6 @@ func (a *Array) Max(src *Var, orientation ppa.Direction, open *Bool) *Var {
 // SelectedMin it never writes sel.
 func (a *Array) SelectedMax(src *Var, orientation ppa.Direction, open, sel *Bool) *Var {
 	a.check(sel.a)
-	if m := a.fusedOn(); m != nil {
-		return a.fusedReduce(m, src, orientation, open, sel, false)
-	}
 	return a.maximum(src, orientation, open, sel, false)
 }
 

@@ -53,7 +53,6 @@ func (a *Array) MinViaSwitches(src *Var, orientation ppa.Direction, open *Bool) 
 }
 
 // SelectedMinViaSwitches is SelectedMin on the switch-only bus model.
-// Never fused: the switch-only OR is itself built from broadcasts.
 func (a *Array) SelectedMinViaSwitches(src *Var, orientation ppa.Direction, open, sel *Bool) *Var {
 	a.check(sel.a)
 	return a.minimumOn(src, orientation, open, sel, false, (*Array).OrViaSwitches)

@@ -341,7 +341,7 @@ func TransposeBits(dst, src *Bitset, n int) {
 				for k := 0; k < 64; k++ {
 					tile[k] = src.w[(ti<<6+k)*stride+tj]
 				}
-				Transpose64(&tile)
+				transpose64(&tile)
 				for k := 0; k < 64; k++ {
 					dst.w[(tj<<6+k)*stride+ti] = tile[k]
 				}
@@ -359,9 +359,9 @@ func TransposeBits(dst, src *Bitset, n int) {
 	}
 }
 
-// Transpose64 transposes a 64x64 bit matrix in place (row k = a[k], column
+// transpose64 transposes a 64x64 bit matrix in place (row k = a[k], column
 // j = bit j) by recursive block swapping.
-func Transpose64(a *[64]uint64) {
+func transpose64(a *[64]uint64) {
 	for j := uint(32); j != 0; j >>= 1 {
 		m := ^uint64(0) / (1<<j + 1) // low j bits of every 2j-bit block
 		for k := 0; k < 64; k = (k + int(j) + 1) &^ int(j) {

@@ -13,7 +13,7 @@ import (
 // Executor runs a PPC program against a par.Array. Two implementations
 // exist: the bytecode VM (the default production path) and the
 // tree-walking Interp retained as the semantic oracle — the same
-// fast-path/oracle split as par's fused kernels vs. ReferenceKernels.
+// fast-path/oracle split as core's fused DP lane vs. ReferenceKernels.
 // Both are driven through the identical host API: bind inputs with the
 // Set* methods, invoke a niladic entry point with Call, read results back
 // with the Get* methods.

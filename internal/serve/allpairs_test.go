@@ -269,9 +269,13 @@ func TestAllPairsMidStreamFailure(t *testing.T) {
 
 // TestAllPairsDeadlinePreStream pins the pre-stream error contract: a
 // deadline that fires before the first row maps to a plain 504, exactly
-// like /v1/solve.
+// like /v1/solve. A gate on the solve hook holds the sweep before its
+// first destination until the deadline has passed.
 func TestAllPairsDeadlinePreStream(t *testing.T) {
-	srv := New(Config{Workers: 1, PhysicalSide: 16})
+	srv := New(Config{Workers: 1})
+	gt := newGate(0)
+	defer gt.open()
+	srv.hookBeforeSolve = gt.hook
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -282,12 +286,17 @@ func TestAllPairsDeadlinePreStream(t *testing.T) {
 		}
 	}()
 
-	// Destination 0 of a reversed long chain needs n DP rounds of the
-	// machine program on a 25600-PE fabric block-mapped onto 16 x 16 (as
-	// in TestDeadline) — far beyond a 1 ms budget, so no row is ever
-	// produced. (On the forward chain dest 0 converges in one round and
-	// the stream would be committed before the deadline fires.)
 	g := graph.GenChain(160, 3).Transpose()
+	go func() {
+		// The handler sets its 1 ms deadline before the hook runs, so
+		// the deadline has fired 1 ms after the sweep is held there.
+		select {
+		case <-gt.reached:
+			time.Sleep(time.Millisecond)
+		case <-gt.release: // the test returned first
+		}
+		gt.open()
+	}()
 	st := postAllPairs(t, ts.Client(), ts.URL, AllPairsRequest{Graph: rawGraph(t, g), TimeoutMS: 1})
 	if st.code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%v), want 504", st.code, st.er)

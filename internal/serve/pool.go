@@ -44,7 +44,6 @@ type Pool struct {
 	idle         map[poolKey][]*core.Session
 	total        int
 	cap          int
-	ringWorkers  int
 	physicalSide int
 
 	hits, misses, discards int64
@@ -57,17 +56,16 @@ type PoolStats struct {
 }
 
 // NewPool returns a pool keeping at most cap idle sessions in total.
-// ringWorkers is the per-session simulator ring fan-out (core
-// Options.Workers; 0/1 = serial), composing machine-level parallelism
-// with the service's session-level concurrency. physicalSide, when
-// nonzero, builds block-mapped sessions (core Options.PhysicalSide) for
-// graphs whose vertex count it divides; other graphs fall back to direct
-// execution, under a distinct pool key.
-func NewPool(cap, ringWorkers, physicalSide int) *Pool {
+// physicalSide, when nonzero, builds block-mapped sessions (core
+// Options.PhysicalSide) for graphs whose vertex count it divides; other
+// graphs fall back to direct execution, under a distinct pool key. The
+// second argument is ignored: it was a per-session ring fan-out, which no
+// pooled session reaches (they all run core's fused DP lane, which issues
+// no bus transaction). It stays so existing callers keep compiling.
+func NewPool(cap, _, physicalSide int) *Pool {
 	return &Pool{
 		idle:         make(map[poolKey][]*core.Session),
 		cap:          cap,
-		ringWorkers:  ringWorkers,
 		physicalSide: physicalSide,
 	}
 }
@@ -76,7 +74,7 @@ func NewPool(cap, ringWorkers, physicalSide int) *Pool {
 // graph at width h, with PhysicalSide already normalized so that
 // core.NewSession never sees a non-divisor side.
 func (p *Pool) options(n int, h uint) core.Options {
-	opt := core.Options{Bits: h, Workers: p.ringWorkers, PhysicalSide: p.physicalSide}
+	opt := core.Options{Bits: h, PhysicalSide: p.physicalSide}
 	opt.PhysicalSide = keyFor(n, h, opt).phys
 	return opt
 }

@@ -229,12 +229,15 @@ func TestE2EConcurrentClients(t *testing.T) {
 }
 
 // TestDeadline verifies a request deadline beats a long solve: the
-// handler answers 504 and the worker abandons the DP between iterations.
-// The sessions are block-mapped (PhysicalSide), so every DP round runs
-// the machine program on the virtualized fabric: the solve outlasts the
-// deadline however fast the host-side fused lane gets.
+// handler answers 504 and the worker abandons the DP. A gate on the solve
+// hook holds the worker, should it reach the solve in time, until the
+// deadline has fired, so the solve outlasts the deadline however fast the
+// DP lane is.
 func TestDeadline(t *testing.T) {
-	srv := New(Config{Workers: 1, PhysicalSide: 16})
+	srv := New(Config{Workers: 1})
+	gt := newGate(159)
+	defer gt.open()
+	srv.hookBeforeSolve = gt.hook
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -245,9 +248,6 @@ func TestDeadline(t *testing.T) {
 		}
 	}()
 
-	// A 160-vertex chain to its far end needs 160 DP rounds of the
-	// machine program on a 25600-PE fabric block-mapped onto 16 x 16 —
-	// far beyond a 1 ms budget.
 	g := graph.GenChain(160, 3)
 	code, _, er, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{
 		Graph: rawGraph(t, g), Dests: []int{159}, TimeoutMS: 1,
@@ -255,6 +255,9 @@ func TestDeadline(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%v), want 504", code, er)
 	}
+	// A worker held in the gate is released past the deadline and
+	// abandons the solve.
+	gt.open()
 
 	// The session released by the dead request must not poison service:
 	// the same solve with a generous deadline succeeds.
@@ -269,8 +272,13 @@ func TestDeadline(t *testing.T) {
 
 // TestOverload429 fills the bounded queue and expects load shedding with
 // Retry-After, while every accepted request still gets a correct answer.
+// A gate on the solve hook holds the single worker in its first solve
+// until the burst has been shed, then lets the admitted requests finish.
 func TestOverload429(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1, PhysicalSide: 16})
+	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
+	gt := newGate(127)
+	defer gt.open()
+	srv.hookBeforeSolve = gt.hook
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -287,27 +295,37 @@ func TestOverload429(t *testing.T) {
 		retry string
 	}
 	var wg sync.WaitGroup
+	var shedOnce sync.Once
+	shedSeen := make(chan struct{})
 	outcomes := make([]outcome, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			// Distinct weights per request: no coalescing, every request
-			// needs its own queue slot. Long chains (128 DP rounds of the
-			// machine program on a block-mapped n=128 fabric) keep the
-			// single worker busy for milliseconds per job — far longer
-			// than the burst takes to arrive — so the depth-1 queue must
-			// shed.
+			// needs its own queue slot. The gated worker stays busy with
+			// the first job while the burst arrives, so the depth-1 queue
+			// must shed.
 			g := graph.GenChain(128, int64(i+1))
 			code, sr, _, hdr := postSolve(t, ts.Client(), ts.URL, SolveRequest{
 				Graph: rawGraph(t, g), Dests: []int{127},
 			})
 			outcomes[i] = outcome{code, hdr.Get("Retry-After")}
+			if code == http.StatusTooManyRequests {
+				shedOnce.Do(func() { close(shedSeen) })
+			}
 			if code == http.StatusOK {
 				checkResponse(t, g, sr, []int{127})
 			}
 		}(i)
 	}
+	gt.wait(t)
+	select {
+	case <-shedSeen:
+	case <-time.After(10 * time.Second):
+		t.Error("no request was shed while the worker was held")
+	}
+	gt.open()
 	wg.Wait()
 	var ok, shed int
 	for i, o := range outcomes {
@@ -403,7 +421,7 @@ func TestQueueCoalescing(t *testing.T) {
 // TestPool pins checkout semantics: miss then hit, capacity discard, and
 // a Reload failure surfacing as an error.
 func TestPool(t *testing.T) {
-	p := NewPool(1, 1, 0)
+	p := NewPool(1, 0, 0)
 	g1 := graph.GenChain(8, 3)
 	g2 := graph.GenChain(8, 5)
 
@@ -454,7 +472,7 @@ func TestPoolKeysFabricOptions(t *testing.T) {
 	// A foreign session with the same {n, h} but a different fabric shape
 	// (block-mapped 8-on-4, reference kernels) parked in a direct pool
 	// must NOT satisfy a direct checkout.
-	direct := NewPool(4, 1, 0)
+	direct := NewPool(4, 0, 0)
 	odd, err := core.NewSession(g, core.Options{Bits: 8, PhysicalSide: 4, ReferenceKernels: true})
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +485,7 @@ func TestPoolKeysFabricOptions(t *testing.T) {
 	if hit {
 		t.Fatal("direct checkout satisfied by a virtualized reference-kernel session")
 	}
-	if s.Options() != (core.Options{Bits: 8, Workers: 1}) {
+	if s.Options() != (core.Options{Bits: 8}) {
 		t.Fatalf("direct pool built options %+v", s.Options())
 	}
 	direct.Put(s)
@@ -475,7 +493,7 @@ func TestPoolKeysFabricOptions(t *testing.T) {
 	// A virtualizing pool keys its own sessions consistently: put then
 	// get of a tileable graph is a hit, and the session really is
 	// block-mapped.
-	vp := NewPool(4, 1, 4)
+	vp := NewPool(4, 0, 4)
 	s1, hit, err := vp.Get(g, 8)
 	if err != nil || hit {
 		t.Fatalf("cold virtualized Get: hit=%v err=%v", hit, err)

@@ -28,12 +28,6 @@ type Config struct {
 	// PoolCap bounds the idle warm sessions kept across requests
 	// (default 64).
 	PoolCap int
-	// RingWorkers is each session's simulator ring fan-out
-	// (core.Options.Workers; default 1 = serial). Machine-level
-	// parallelism composes with — and competes for cores against — the
-	// Workers session-level concurrency, so raise it only when requests
-	// are scarce and graphs are large.
-	RingWorkers int
 	// PhysicalSide, when nonzero, serves requests on block-mapped
 	// virtualized sessions (core.Options.PhysicalSide): an n-vertex graph
 	// whose n is a positive multiple of PhysicalSide simulates on a
@@ -163,7 +157,7 @@ func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:         cfg,
-		pool:        NewPool(cfg.PoolCap, cfg.RingWorkers, cfg.PhysicalSide),
+		pool:        NewPool(cfg.PoolCap, 0, cfg.PhysicalSide),
 		q:           newQueue(cfg.QueueDepth),
 		metrics:     NewMetrics(),
 		sessions:    make(map[string]*liveSession),

@@ -129,10 +129,6 @@ func (v *Machine) BroadcastBits(d ppa.Direction, open *ppa.Bitset, src, dst []pp
 // block has an Open lane on the current plane, the operand of its
 // flow-last Open lane, and a floating carry-in.
 func (v *Machine) bcastScanRing(i int) {
-	if v.wordBlocks {
-		v.bcastScanRingFast(i)
-		return
-	}
 	k, sb := v.k, (i*v.k+v.jt)*v.n
 	for q := 0; q < v.m; q++ {
 		P := v.blockP(i, q)
@@ -163,10 +159,6 @@ func (v *Machine) bcastScanRing(i int) {
 // order that reads every head's src operand before an aliased dst write
 // can clobber it (see ppa.ringKernels.broadcastRing).
 func (v *Machine) bcastFillRing(i int) {
-	if v.wordBlocks {
-		v.bcastFillRingFast(i)
-		return
-	}
 	k, sb := v.k, (i*v.k+v.jt)*v.n
 	src, dst := v.jSrc, v.jDst
 	for q := 0; q < v.m; q++ {
@@ -315,10 +307,6 @@ func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 // before the first head (head), from the last head onward (tail), and
 // overall (full, used only by head-less blocks).
 func (v *Machine) worScanRing(i int) {
-	if v.wordBlocks {
-		v.worScanRingFast(i)
-		return
-	}
 	k, sb := v.k, (i*v.k+v.jt)*v.n
 	for q := 0; q < v.m; q++ {
 		P := v.blockP(i, q)
@@ -358,10 +346,6 @@ func (v *Machine) worScanRing(i int) {
 // cluster, internal clusters reduce locally, and the final cluster (which
 // spans into downstream blocks) reads the physical OR.
 func (v *Machine) worFillRing(i int) {
-	if v.wordBlocks {
-		v.worFillRingFast(i)
-		return
-	}
 	k, sb := v.k, (i*v.k+v.jt)*v.n
 	for q := 0; q < v.m; q++ {
 		P := v.blockP(i, q)
@@ -462,19 +446,15 @@ func (v *Machine) shiftMoveRing(i int) {
 // Cost: one physical global-OR operation.
 func (v *Machine) GlobalOrBits(pred *ppa.Bitset) bool {
 	v.checkBits("pred", pred)
-	if v.wordBlocks {
-		v.globalOrFast(pred.Words())
-	} else {
-		m, k, n := v.m, v.k, v.n
-		for P := 0; P < m*m; P++ {
-			R, C := P/m, P%m
-			or := false
-			for a := 0; a < k && !or; a++ {
-				lo := (R*k+a)*n + C*k
-				or = pred.AnyRange(lo, lo+k)
-			}
-			v.pOpen.SetTo(P, or)
+	m, k, n := v.m, v.k, v.n
+	for P := 0; P < m*m; P++ {
+		R, C := P/m, P%m
+		or := false
+		for a := 0; a < k && !or; a++ {
+			lo := (R*k+a)*n + C*k
+			or = pred.AnyRange(lo, lo+k)
 		}
+		v.pOpen.SetTo(P, or)
 	}
 	v.chargeLocal(v.k * v.k)
 	return v.phys.GlobalOrBits(v.pOpen)

@@ -48,9 +48,8 @@ func newParityMachine(t *testing.T, c packedParityCase) *Machine {
 // lane-at-a-time oracle (laneMachine's Broadcast/WiredOr/GlobalOr) produce
 // equal outputs, byte-identical ppa.Metrics AND identical physical
 // observer event streams on two identically-driven machines — across
-// block geometries (covering both the word-mask fast kernels and the
-// generic ones), word widths, worker counts, all four directions, and
-// injected physical switch faults.
+// block geometries (word-aligned and unaligned rows), word widths, worker
+// counts, all four directions, and injected physical switch faults.
 func TestPackedLaneParity(t *testing.T) {
 	for _, c := range packedParityGrid() {
 		c := c

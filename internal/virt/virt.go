@@ -59,7 +59,7 @@ type Machine struct {
 	// row (the same 64x64 tile transpose the plain machine uses).
 	// openSnap holds the open plane tOpen was last computed from:
 	// vertical passes with an unchanged switch configuration (every
-	// plane of a fused reduction, the fixed row/diagonal selectors of
+	// plane of a bit-serial reduction, the fixed row/diagonal selectors of
 	// the solver loop) skip the re-transpose on a word-compare hit.
 	tOpen, tDrive, tDst *ppa.Bitset
 	openSnap            *ppa.Bitset
@@ -85,10 +85,6 @@ type Machine struct {
 	// and pooled fill kernels for distinct rings never write the same
 	// word. Packed bitset fills fall back to serial execution otherwise.
 	rowsAligned bool
-	// wordBlocks additionally requires 64%k == 0: blocks then nest
-	// exactly in host words and the scan/fill kernels run on register
-	// masks instead of per-block Bitset range calls (see packed.go).
-	wordBlocks bool
 }
 
 // Machine implements the logical fabric contract.
@@ -127,7 +123,6 @@ func New(n, m int, h uint, opts ...ppa.Option) (*Machine, error) {
 	v.fnShiftCollect = v.shiftCollectRing
 	v.fnShiftMove = v.shiftMoveRing
 	v.rowsAligned = n&63 == 0
-	v.wordBlocks = v.rowsAligned && 64%v.k == 0
 	return v, nil
 }
 
