@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ppamcp/internal/graph"
 	"ppamcp/internal/par"
@@ -555,24 +556,27 @@ func loadWeights(g *graph.Graph, h uint) ([]ppa.Word, error) {
 func loadWeightsInto(dst []ppa.Word, g *graph.Graph, h uint) error {
 	n := g.N
 	inf := ppa.Infinity(h)
-	w := dst
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			switch wt := g.At(i, j); {
-			case i == j:
-				w[i*n+j] = 0
-			case wt == graph.NoEdge:
-				w[i*n+j] = inf
-			case n > 1 && wt > (int64(inf)-1)/int64(n-1):
-				// Overflow-safe form of (n-1)*wt >= inf: a worst-case
-				// simple path could saturate and masquerade as "no path".
-				return fmt.Errorf(
-					"core: %d-bit words cannot distinguish worst-case path cost (%d * %d) from MAXINT; raise Options.Bits",
-					h, n-1, wt)
-			default:
-				w[i*n+j] = ppa.Word(wt)
-			}
+	// Overflow-safe form of (n-1)*wt >= inf: a worst-case simple path
+	// could saturate and masquerade as "no path". One flat pass in
+	// row-major order; the diagonal is exempt and zeroed afterwards.
+	maxW := int64(math.MaxInt64)
+	if n > 1 {
+		maxW = (int64(inf) - 1) / int64(n-1)
+	}
+	for k, wt := range g.W {
+		switch {
+		case wt == graph.NoEdge:
+			dst[k] = inf
+		case wt > maxW && k%(n+1) != 0:
+			return fmt.Errorf(
+				"core: %d-bit words cannot distinguish worst-case path cost (%d * %d) from MAXINT; raise Options.Bits",
+				h, n-1, wt)
+		default:
+			dst[k] = ppa.Word(wt)
 		}
+	}
+	for i := 0; i < n*n; i += n + 1 {
+		dst[i] = 0
 	}
 	return nil
 }

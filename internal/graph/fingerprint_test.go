@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestFingerprintIdentity pins the properties the serving stack leans
 // on: determinism across calls (the router must re-derive the server's
@@ -53,5 +56,34 @@ func TestFingerprintStable(t *testing.T) {
 	one := New(1)
 	if Fingerprint(one, 8) == Fingerprint(one, 16) {
 		t.Error("h not mixed into the fingerprint")
+	}
+}
+
+// TestFingerprintSingleEntry changes one matrix entry at a time, every
+// entry of an n=16 graph in turn (absent to present, present to absent,
+// and a reweight), and requires every variant to fingerprint differently
+// from the base and from every other variant.
+func TestFingerprintSingleEntry(t *testing.T) {
+	g := GenRandomConnected(16, 0.3, 9, 7)
+	const h = 8
+	seen := map[uint64]string{Fingerprint(g, h): "base"}
+	for k, w := range g.W {
+		variants := []int64{1, NoEdge}
+		if w != NoEdge {
+			variants = []int64{w + 1, NoEdge}
+		}
+		for _, v := range variants {
+			if v == w {
+				continue
+			}
+			mut := g.Clone()
+			mut.W[k] = v
+			fp := Fingerprint(mut, h)
+			name := fmt.Sprintf("W[%d] = %d", k, v)
+			if prev, dup := seen[fp]; dup {
+				t.Fatalf("%s fingerprints like %s", name, prev)
+			}
+			seen[fp] = name
+		}
 	}
 }

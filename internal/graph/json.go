@@ -32,7 +32,12 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the MarshalJSON representation; see DecodeJSON.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	return g.decodeJSON(data, MaxParseVertices)
+	dec, err := DecodeJSON(data, MaxParseVertices)
+	if err != nil {
+		return err
+	}
+	*g = *dec
+	return nil
 }
 
 // DecodeJSON decodes the MarshalJSON representation in one pass over the
@@ -46,18 +51,33 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 //
 // It accepts exactly the documents json.Unmarshal accepts into
 // {N int; Edges [][]int64} followed by those checks, with the same result
-// (see package jsonscan for the JSON rules this covers).
+// (see package jsonscan for the JSON rules this covers). A syntax error
+// anywhere in data is reported ahead of a failed check.
 func DecodeJSON(data []byte, maxN int) (*Graph, error) {
-	g := new(Graph)
-	if err := g.decodeJSON(data, maxN); err != nil {
-		return nil, err
+	s := jsonscan.New(data)
+	var g *Graph
+	_, bad, err := s.Decode(func() (err error) {
+		g, err = ScanJSON(s, maxN)
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("graph: %v", err)
+	}
+	if bad != nil {
+		return nil, bad
 	}
 	return g, nil
 }
 
-func (g *Graph) decodeJSON(data []byte, maxN int) error {
+// ScanJSON decodes the graph value at s's cursor under DecodeJSON's rules
+// and leaves the cursor past it, so a graph embedded in a larger document
+// (a request envelope) is decoded as the document is read. Errors are
+// syntax errors and failed checks alike; Scanner.Decode tells them apart.
+func ScanJSON(s *jsonscan.Scanner, maxN int) (*Graph, error) {
 	maxN = min(maxN, MaxParseVertices)
-	s := jsonscan.New(data)
 	n := 0
 	// In the usual spelling "n" comes first and "edges" once, and the
 	// triples are written into w (sized for wn vertices) as they are
@@ -72,7 +92,7 @@ func (g *Graph) decodeJSON(data []byte, maxN int) error {
 	var all [][]byte
 	if !s.Null() {
 		if s.Peek() != '{' {
-			return fmt.Errorf("graph: %v", s.TypeError("graph.graphJSON"))
+			return nil, fmt.Errorf("graph: %v", s.TypeError("graph.graphJSON"))
 		}
 		err := s.Object(func(key []byte) error {
 			switch {
@@ -92,7 +112,7 @@ func (g *Graph) decodeJSON(data []byte, maxN int) error {
 				} else {
 					_, err = s.Skip()
 				}
-				v := data[start:s.Offset()]
+				v := s.Since(start)
 				if edges != nil {
 					if all == nil {
 						all = [][]byte{edges}
@@ -107,20 +127,17 @@ func (g *Graph) decodeJSON(data []byte, maxN int) error {
 			}
 		})
 		if err != nil {
-			return fmt.Errorf("graph: %v", err)
+			return nil, fmt.Errorf("graph: %v", err)
 		}
 	}
-	if err := s.End(); err != nil {
-		return fmt.Errorf("graph: %v", err)
-	}
 	if n < 1 {
-		return fmt.Errorf("graph: n = %d < 1", n)
+		return nil, fmt.Errorf("graph: n = %d < 1", n)
 	}
 	if n > maxN {
 		if maxN == MaxParseVertices {
-			return fmt.Errorf("graph: n = %d exceeds MaxParseVertices (%d)", n, MaxParseVertices)
+			return nil, fmt.Errorf("graph: n = %d exceeds MaxParseVertices (%d)", n, MaxParseVertices)
 		}
-		return fmt.Errorf("graph: n = %d exceeds server limit %d", n, maxN)
+		return nil, fmt.Errorf("graph: n = %d exceeds server limit %d", n, maxN)
 	}
 	switch {
 	case all != nil:
@@ -131,16 +148,14 @@ func (g *Graph) decodeJSON(data []byte, maxN int) error {
 		if edges != nil {
 			var err error
 			if bad, err = fillEdges(jsonscan.New(edges), w, n); err != nil {
-				return fmt.Errorf("graph: %v", err)
+				return nil, fmt.Errorf("graph: %v", err)
 			}
 		}
 	}
 	if bad != nil {
-		return bad
+		return nil, bad
 	}
-	g.N = n
-	g.W = w
-	return nil
+	return &Graph{N: n, W: w}, nil
 }
 
 func noEdges(n int) []int64 {

@@ -189,6 +189,29 @@ func (s *Scanner) Skip() ([]byte, error) {
 	return s.data[start:end], nil
 }
 
+// Decode runs decode on the value at the cursor and returns the value's
+// bytes. When decode fails the value is read again with Skip from where
+// it began: a syntax error in it, which encoding/json reports ahead of
+// any type or value error, comes back as err, and otherwise decode's
+// error comes back as bad. Either way the cursor ends past the value, so
+// a caller can record bad and go on reading the enclosing document.
+func (s *Scanner) Decode(decode func() error) (raw []byte, bad, err error) {
+	s.skipWS()
+	mark := *s
+	if bad = decode(); bad == nil {
+		return s.data[mark.pos:s.pos], nil, nil
+	}
+	*s = mark
+	raw, err = s.Skip()
+	if err != nil {
+		return nil, nil, err
+	}
+	return raw, bad, nil
+}
+
+// Since returns the document bytes from offset start to the cursor.
+func (s *Scanner) Since(start int) []byte { return s.data[start:s.pos] }
+
 // skipValue validates the value at data[pos:] (after whitespace), nested
 // depth containers deep, and returns the index just past it or, on
 // error, the index of the offending byte.

@@ -51,10 +51,13 @@ func (x *Var) Load(data []ppa.Word) {
 		panic(fmt.Sprintf("par: Load length %d, want %d", len(data), len(x.v)))
 	}
 	h := x.a.m.Bits()
-	for i, w := range data {
-		ppa.CheckWord(w, h)
-		x.v[i] = w
+	inf := ppa.Infinity(h)
+	for _, w := range data {
+		if uint64(w) > uint64(inf) { // a negative word wraps above inf
+			ppa.CheckWord(w, h)
+		}
 	}
+	copy(x.v, data)
 }
 
 // LoadSparse patches the variable at the given flat (row-major) indices

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"ppamcp/internal/graph"
 )
 
 func ringMembers(n int) []string {
@@ -143,5 +145,59 @@ func TestRingSequence(t *testing.T) {
 	}
 	if got := empty.Sequence(1, 2); got != nil {
 		t.Errorf("empty ring sequence = %v", got)
+	}
+}
+
+// TestFingerprintPlacementSpread places 512 random n=64 graphs by
+// graph.Fingerprint on 2- and 3-backend rings (64 vnodes), and then 512
+// variants of one graph that each differ from it in a single entry. No
+// backend may own much more of either set than its share of uniformly
+// random keys, the share the ring's vnodes give it.
+func TestFingerprintPlacementSpread(t *testing.T) {
+	const graphs, h = 512, 8
+	random := make([]*graph.Graph, graphs)
+	for i := range random {
+		random[i] = graph.GenRandomConnected(64, 0.3, 9, int64(i))
+	}
+	base := random[0]
+	variants := make([]*graph.Graph, graphs)
+	for i := range variants {
+		v := base.Clone()
+		k := i * 8 // spread over the matrix's rows and columns
+		if v.W[k] == graph.NoEdge {
+			v.W[k] = 5
+		} else {
+			v.W[k] = graph.NoEdge
+		}
+		variants[i] = v
+	}
+	for _, members := range []int{2, 3} {
+		r := NewRing(ringMembers(members), 64)
+		keyShare := map[string]float64{}
+		rng := rand.New(rand.NewSource(1))
+		const keys = 100000
+		for i := 0; i < keys; i++ {
+			m, _ := r.Lookup(rng.Uint64())
+			keyShare[m] += 1.0 / keys
+		}
+		for _, set := range []struct {
+			name string
+			gs   []*graph.Graph
+		}{{"random graphs", random}, {"single-entry variants", variants}} {
+			count := map[string]int{}
+			for _, g := range set.gs {
+				m, _ := r.Lookup(graph.Fingerprint(g, h))
+				count[m]++
+			}
+			for _, m := range r.Members() {
+				// 0.1 is about 4.5 standard deviations of a share
+				// estimated from 512 draws.
+				share := float64(count[m]) / graphs
+				if share > keyShare[m]+0.1 {
+					t.Errorf("%d backends, %s: %s owns %.1f%% of the graphs, %.1f%% of random keys",
+						members, set.name, m, 100*share, 100*keyShare[m])
+				}
+			}
+		}
 	}
 }

@@ -147,13 +147,14 @@ type backendState struct {
 // Router is the routing tier. Create with New, mount Handler, stop with
 // Shutdown.
 type Router struct {
-	cfg     Config
-	client  *http.Client
-	metrics *Metrics
-	cache   *Cache // nil when disabled
-	idents  *identCache
-	flights *flightGroup
-	mux     *http.ServeMux
+	cfg        Config
+	client     *http.Client
+	ownsClient bool // client was built here, not passed in Config.Client
+	metrics    *Metrics
+	cache      *Cache // nil when disabled
+	idents     *identCache
+	flights    *flightGroup
+	mux        *http.ServeMux
 
 	mu       sync.Mutex
 	backends map[string]*backendState
@@ -183,6 +184,7 @@ func New(cfg Config) (*Router, error) {
 		rt.cache = NewCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	if rt.client == nil {
+		rt.ownsClient = true
 		rt.client = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
@@ -237,7 +239,12 @@ func (rt *Router) CacheStats() (CacheStats, int64) {
 
 // Shutdown stops the health monitor and flips the surface to 503.
 // In-flight forwards complete under their own deadlines; callers stop
-// the http.Server around the handler to drain them.
+// the http.Server around the handler to drain them. Once the monitor has
+// stopped, the idle upstream connections of a client the router built
+// are closed. Among them are connections dialed for a request that
+// another connection then served: a backend sees those as never used
+// (http.StateNew), and its http.Server.Shutdown would otherwise wait
+// about 5 s before counting them idle.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	if rt.down.CompareAndSwap(false, true) {
 		close(rt.stop)
@@ -249,6 +256,9 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		if rt.ownsClient {
+			rt.client.CloseIdleConnections()
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -495,7 +505,7 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	if rt.down.Load() {
 		return rt.writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	raw, status, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+	raw, status, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes, rt.cfg.DefaultTimeout)
 	if err != nil {
 		return rt.writeError(w, status, "%v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -562,4 +563,91 @@ func verifyAgainstReference(g *graph.Graph, sr *serve.SolveResponse, dest int) e
 		return fmt.Errorf("dest %d: distances diverge from Bellman-Ford", dest)
 	}
 	return graph.CheckResult(g, &res)
+}
+
+// TestRouterShutdownClosesUpstreamConns serves concurrent traffic through
+// a router over two real backends, then shuts the router down. Every
+// connection the router opened to a backend must close soon after,
+// without the backend's help, and each backend's http.Server.Shutdown
+// must then return well inside the ~5 s it waits on a connection that
+// was dialed and never used.
+func TestRouterShutdownClosesUpstreamConns(t *testing.T) {
+	var mu sync.Mutex
+	open := map[net.Conn]bool{}
+	track := func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	var srvs []*http.Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		svc := serve.New(serve.Config{Workers: 1, MaxVertices: 16})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &http.Server{Handler: svc.Handler(), ConnState: track}
+		go srv.Serve(ln)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Close()
+			svc.Shutdown(ctx)
+		})
+		srvs = append(srvs, srv)
+		urls = append(urls, "http://"+ln.Addr().String())
+	}
+	rt, err := New(Config{Backends: urls, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				g := graph.GenRandomConnected(16, 0.4, 9, int64(c*6+r))
+				if resp, data := postRouter(t, front, solveBody(t, g, r%16)); resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d req %d: status %d (%s)", c, r, resp.StatusCode, data)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	front.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d backend connections still open 2 s after the router shut down", n)
+		}
+	}
+	for i, srv := range srvs {
+		start := time.Now()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("backend %d: Shutdown took %v after the router shut down", i, el)
+		}
+	}
 }

@@ -125,6 +125,7 @@ func checkParity(t *testing.T, src []byte) string {
 	if same("solve", sr, wsr, srErr, wsrErr) && sameGraph("solve", sr.Graph, sr.Gen) {
 		accepted = append(accepted, "solve")
 	}
+	checkFused(t, src, sr, srErr)
 	ar, arErr := AllPairsRequest(sr), srErr
 	war, warErr := oracleAllPairs(src)
 	if same("allpairs", ar, war, arErr, warErr) && sameGraph("allpairs", ar.Graph, ar.Gen) {
@@ -136,6 +137,31 @@ func checkParity(t *testing.T, src []byte) string {
 		accepted = append(accepted, "session")
 	}
 	return strings.Join(accepted, " ")
+}
+
+// checkFused requires the handlers' one-pass entry, decodeSolve, to
+// answer src exactly as DecodeSolveRequest (which gave sr, srErr)
+// followed by BuildGraph does: the same request, the same graph, and the
+// same error in the same order of precedence, a malformed body first.
+func checkFused(t *testing.T, src []byte, sr SolveRequest, srErr error) {
+	t.Helper()
+	want, wantErr := (*graph.Graph)(nil), srErr
+	if srErr == nil {
+		want, wantErr = sr.BuildGraph(wireMaxN)
+	} else {
+		wantErr = fmt.Errorf("bad request body: %v", srErr)
+	}
+	fr, got, err := decodeSolve(src, wireMaxN)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("fused: err = %v, two-pass err = %v\ninput %q", err, wantErr, src)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("fused: err = %q, two-pass err = %q\ninput %q", err, wantErr, src)
+	case err == nil && !reflect.DeepEqual(fr, sr):
+		t.Fatalf("fused: request %+v, two-pass %+v\ninput %q", fr, sr, src)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("fused: graph %+v, two-pass %+v\ninput %q", got, want, src)
+	}
 }
 
 // wtest is one named decoder case: src is run through every decoder and
@@ -333,9 +359,9 @@ func benchBody() []byte {
 	return []byte(fmt.Sprintf(`{"graph":%s,"dests":[5,41]}`, gj))
 }
 
-// decodeSolve is the request path's decode stage: the envelope, then the
-// inline graph.
-func decodeSolve(body []byte) (*graph.Graph, error) {
+// decodeTwoPass is the public decode path, as the router's memo-miss
+// path and ppabench take it: the envelope, then the inline graph.
+func decodeTwoPass(body []byte) (*graph.Graph, error) {
 	req, err := DecodeSolveRequest(body)
 	if err != nil {
 		return nil, err
@@ -343,23 +369,55 @@ func decodeSolve(body []byte) (*graph.Graph, error) {
 	return req.BuildGraph(graph.MaxParseVertices)
 }
 
-var benchGraph *graph.Graph
+// decodeFused is the handlers' decode stage: one pass over the body.
+func decodeFused(body []byte) (*graph.Graph, error) {
+	_, g, err := decodeSolve(body, graph.MaxParseVertices)
+	return g, err
+}
+
+// intake is everything /v1/solve does with a body before it queues the
+// job: decode, validate, pick the width, and fingerprint the graph.
+func intake(body []byte) (uint64, error) {
+	req, g, err := decodeSolve(body, graph.MaxParseVertices)
+	if err != nil {
+		return 0, err
+	}
+	if err := g.Validate(); err != nil {
+		return 0, err
+	}
+	h, err := PickBits(g, req.Bits)
+	if err != nil {
+		return 0, err
+	}
+	return graph.Fingerprint(g, h), nil
+}
+
+var (
+	benchGraph *graph.Graph
+	benchFP    uint64
+)
 
 // BenchmarkDecodeSolveRequest times decoding the benchmark body: the
-// one-pass decoder against the encoding/json oracle it replaced.
+// handlers' fused pass, the public two-pass path, and the encoding/json
+// oracle they replaced.
 func BenchmarkDecodeSolveRequest(b *testing.B) {
 	body := benchBody()
-	b.Run("onepass", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g, err := decodeSolve(body)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (*graph.Graph, error)
+	}{{"fused", decodeFused}, {"onepass", decodeTwoPass}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := c.decode(body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchGraph = g
 			}
-			benchGraph = g
-		}
-	})
+		})
+	}
 	b.Run("encoding-json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -377,18 +435,49 @@ func BenchmarkDecodeSolveRequest(b *testing.B) {
 	})
 }
 
-// TestDecodeSolveRequestAllocs pins the decode stage's allocations on the
-// benchmark body (the encoding/json path takes ~3,700).
+// BenchmarkSolveIntake times the whole /v1/solve intake on the benchmark
+// body: decode, validate, width and fingerprint.
+func BenchmarkSolveIntake(b *testing.B) {
+	body := benchBody()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fp, err := intake(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFP = fp
+	}
+}
+
+// TestDecodeSolveRequestAllocs pins the two-pass decode's allocations on
+// the benchmark body (the encoding/json path takes ~3,700).
 func TestDecodeSolveRequestAllocs(t *testing.T) {
 	body := benchBody()
-	if _, err := decodeSolve(body); err != nil {
+	if _, err := decodeTwoPass(body); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		benchGraph, _ = decodeSolve(body)
+		benchGraph, _ = decodeTwoPass(body)
 	})
 	if allocs > 8 {
 		t.Errorf("decoding a %d-byte n=64 body: %.0f allocations, want <= 8", len(body), allocs)
+	}
+}
+
+// TestSolveIntakeAllocs pins the allocations of the whole /v1/solve
+// intake on the benchmark body: the scanner, the dests slice, the graph
+// and its matrix, and nothing per edge or per matrix entry.
+func TestSolveIntakeAllocs(t *testing.T) {
+	body := benchBody()
+	if _, err := intake(body); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		benchFP, _ = intake(body)
+	})
+	if allocs > 4 {
+		t.Errorf("intake of a %d-byte n=64 body: %.0f allocations, want <= 4", len(body), allocs)
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 // json.Encoder writes for the row's DestResult (or SessionRow), newline
 // included, into a buffer the stream reuses. Headers, trailers and
 // terminal lines come once per table, generation or stream and keep
-// json.Marshal.
+// json.Marshal. The /v1/solve body (appendSolveResponse) is appended
+// the same way, around the same row objects.
 
 // flushQuiet is the stream flush rule. A stream flushes
 //   - the first row of every table and every generation,
@@ -36,10 +37,16 @@ const flushQuiet = time.Millisecond
 
 // appendRow appends r as one NDJSON line: byte for byte what
 // json.Encoder writes for toDestResult(r), or, with a seq, for
-// SessionRow{Seq: *seq, DestResult: toDestResult(r)}. graph.NoEdge
+// SessionRow{Seq: *seq, DestResult: toDestResult(r)}.
+func appendRow(buf []byte, seq *uint64, r *core.Result) []byte {
+	return append(appendDest(buf, seq, r), '\n')
+}
+
+// appendDest appends r as the JSON object of its DestResult (or
+// SessionRow, with a seq), as encoding/json writes it. graph.NoEdge
 // distances are written as -1. r has at least one vertex, as every
 // core.Result does.
-func appendRow(buf []byte, seq *uint64, r *core.Result) []byte {
+func appendDest(buf []byte, seq *uint64, r *core.Result) []byte {
 	buf = append(buf, '{')
 	if seq != nil {
 		buf = append(buf, `"seq":`...)
@@ -67,6 +74,49 @@ func appendRow(buf []byte, seq *uint64, r *core.Result) []byte {
 	}
 	buf = append(buf, `],"iterations":`...)
 	buf = strconv.AppendInt(buf, int64(r.Iterations), 10)
+	return append(buf, '}')
+}
+
+// appendSolveResponse appends the body of a successful /v1/solve: byte
+// for byte what json.Encoder writes for the SolveResponse that holds
+// toDestResult of each result (a nil results slice as null), newline
+// included.
+func appendSolveResponse(buf []byte, n int, h uint, d jobDone) []byte {
+	buf = append(buf, `{"n":`...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, `,"bits":`...)
+	buf = strconv.AppendUint(buf, uint64(h), 10)
+	if d.results == nil {
+		buf = append(buf, `,"results":null`...)
+	} else {
+		buf = append(buf, `,"results":[`...)
+		for i, r := range d.results {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendDest(buf, nil, r)
+		}
+		buf = append(buf, ']')
+	}
+	c := d.cost
+	for _, f := range []struct {
+		key string
+		v   int64
+	}{
+		{`,"cost":{"BusCycles":`, c.BusCycles},
+		{`,"WiredOrCycles":`, c.WiredOrCycles},
+		{`,"ShiftSteps":`, c.ShiftSteps},
+		{`,"RouterCycles":`, c.RouterCycles},
+		{`,"GlobalOrOps":`, c.GlobalOrOps},
+		{`,"PEOps":`, c.PEOps},
+		{`,"Instructions":`, c.Instructions},
+	} {
+		buf = strconv.AppendInt(append(buf, f.key...), f.v, 10)
+	}
+	buf = append(buf, `},"pool_hit":`...)
+	buf = strconv.AppendBool(buf, d.poolHit)
+	buf = append(buf, `,"batched":`...)
+	buf = strconv.AppendInt(buf, int64(d.batched), 10)
 	return append(buf, "}\n"...)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"ppamcp/internal/core"
 	"ppamcp/internal/graph"
 	"ppamcp/internal/ppa"
 )
@@ -33,7 +34,7 @@ type job struct {
 }
 
 type jobDone struct {
-	results []DestResult
+	results []*core.Result
 	cost    ppa.Metrics
 	poolHit bool
 	batched int

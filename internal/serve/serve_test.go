@@ -737,3 +737,32 @@ func TestHealthzBody(t *testing.T) {
 		t.Errorf("healthz while draining = %d %+v, want 503 draining", code, hs)
 	}
 }
+
+// TestReadBodyBuffer: ReadBody reads a body of declared length into one
+// buffer of that size, and a Content-Length that lies cannot make it
+// reserve more than maxInitialBody: a body that declares 8 MiB and sends
+// 10 bytes gets a 64 KiB buffer.
+func TestReadBodyBuffer(t *testing.T) {
+	body := benchBody()
+	for _, c := range []struct {
+		name     string
+		declared int64
+		sent     []byte
+		wantCap  int // 0: not pinned
+	}{
+		{"exact length", int64(len(body)), body, len(body) + 1},
+		{"8 MiB declared, 10 bytes sent", 8 << 20, body[:10], maxInitialBody},
+		{"unknown length", -1, body, 0},
+		{"empty", 0, nil, 1},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(c.sent))
+		r.ContentLength = c.declared
+		got, status, err := ReadBody(httptest.NewRecorder(), r, 8<<20, time.Second)
+		if err != nil || status != http.StatusOK || !bytes.Equal(got, c.sent) {
+			t.Fatalf("%s: read %d bytes, status %d, err %v; want the %d bytes sent", c.name, len(got), status, err, len(c.sent))
+		}
+		if c.wantCap != 0 && cap(got) != c.wantCap {
+			t.Errorf("%s: buffer capacity %d, want %d", c.name, cap(got), c.wantCap)
+		}
+	}
+}

@@ -252,7 +252,7 @@ func (s *Server) runBatch(b *batch) {
 			j.finish(jobDone{err: err, status: http.StatusGatewayTimeout})
 			continue
 		}
-		results := make([]DestResult, 0, len(j.dests))
+		results := make([]*core.Result, 0, len(j.dests))
 		var cost ppa.Metrics
 		jerr := func() (jerr error) {
 			defer func() {
@@ -283,7 +283,10 @@ func (s *Server) runBatch(b *batch) {
 					s.metrics.AddSolves(1, r.Metrics)
 					cache[d] = r
 				}
-				results = append(results, toDestResult(r))
+				// Every solve builds a fresh Result, so one handed to a
+				// job (or shared by coalesced jobs) stays valid after the
+				// session is repooled and solves again.
+				results = append(results, r)
 				cost = cost.Add(r.Metrics)
 			}
 			return nil
@@ -306,23 +309,6 @@ func (s *Server) runBatch(b *batch) {
 	}
 }
 
-func toDestResult(r *core.Result) DestResult {
-	out := DestResult{
-		Dest:       r.Dest,
-		Dist:       make([]int64, len(r.Dist)),
-		Next:       append([]int(nil), r.Next...),
-		Iterations: r.Iterations,
-	}
-	for i, d := range r.Dist {
-		if d == graph.NoEdge {
-			out.Dist[i] = -1
-		} else {
-			out.Dist[i] = d
-		}
-	}
-	return out
-}
-
 // handleSolve is POST /v1/solve.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -339,15 +325,11 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
 	if err != nil {
 		return writeError(w, status, "%v", err)
 	}
-	req, err := DecodeSolveRequest(body)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	g, err := req.BuildGraph(s.cfg.MaxVertices)
+	req, g, err := decodeSolve(body, s.cfg.MaxVertices)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -399,10 +381,13 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
 			}
 			return writeError(w, d.status, "%v", d.err)
 		}
-		return writeJSON(w, http.StatusOK, SolveResponse{
-			N: g.N, Bits: h, Results: d.results, Cost: d.cost,
-			PoolHit: d.poolHit, Batched: d.batched,
-		})
+		// The SolveResponse, appended straight from the results.
+		body := appendSolveResponse(make([]byte, 0, 128+len(d.results)*(16*g.N+48)), g.N, h, d)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+		return http.StatusOK
 	case <-ctx.Done():
 		// The worker will observe the same context and abandon the job;
 		// the buffered done channel lets it move on regardless.
@@ -433,19 +418,15 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
 	if err != nil {
 		return writeError(w, status, "%v", err)
 	}
-	sr, err := DecodeSolveRequest(body)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	req := AllPairsRequest(sr)
-	g, err := req.BuildGraph(s.cfg.MaxVertices)
+	sr, g, err := decodeSolve(body, s.cfg.MaxVertices)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
+	req := AllPairsRequest(sr)
 	if err := g.Validate(); err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}

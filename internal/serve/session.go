@@ -51,13 +51,13 @@ type SessionCreateRequest struct {
 // decodeSessionCreateRequest decodes a POST /v1/session body with the
 // envelope decoder; dests is either a list or the keyword "all".
 func decodeSessionCreateRequest(body []byte) (SessionCreateRequest, error) {
-	env, dests, err := decodeEnvelope(body, true)
+	env, err := decodeEnvelope(body, true, 0)
 	if err != nil {
 		return SessionCreateRequest{}, err
 	}
-	req := SessionCreateRequest{Graph: env.Graph, Gen: env.Gen, Bits: env.Bits}
-	s := jsonscan.New(dests)
-	if dests == nil || s.Null() {
+	req := SessionCreateRequest{Graph: env.req.Graph, Gen: env.req.Gen, Bits: env.req.Bits}
+	s := jsonscan.New(env.dests)
+	if env.dests == nil || s.Null() {
 		return req, nil
 	}
 	if s.Peek() == '"' {
@@ -269,7 +269,7 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 	if s.down.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
 	if err != nil {
 		return writeError(w, status, "%v", err)
 	}
@@ -483,7 +483,7 @@ func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
 	if ls == nil {
 		return writeError(w, http.StatusNotFound, "no such session")
 	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
 	if err != nil {
 		return writeError(w, status, "%v", err)
 	}

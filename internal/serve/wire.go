@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"ppamcp/internal/cli"
 	"ppamcp/internal/graph"
@@ -91,10 +92,43 @@ func (r *SolveRequest) BuildGraph(maxN int) (*graph.Graph, error) {
 // SolveRequest (trailing data included, so that is rejected) and yields
 // the same values. Graph and Gen are sub-slices of body, validated but
 // not yet decoded; BuildGraph decodes them. A POST /v1/allpairs body has
-// the same fields and decodes as AllPairsRequest(req).
+// the same fields and decodes as AllPairsRequest(req). The daemon's own
+// handlers use decodeSolve, which also decodes the inline graph in the
+// same pass.
 func DecodeSolveRequest(body []byte) (SolveRequest, error) {
-	req, _, err := decodeEnvelope(body, false)
-	return req, err
+	env, err := decodeEnvelope(body, false, 0)
+	return env.req, err
+}
+
+// decodeSolve decodes a POST /v1/solve or /v1/allpairs body and builds
+// its graph, reading the body once: an inline graph is decoded in place
+// as the envelope scan reaches it, with maxN checked before the n^2
+// allocation. It answers as DecodeSolveRequest followed by BuildGraph
+// would, errors included, in the same order: a malformed body first,
+// reported as "bad request body: ...", then a body with both graph and
+// gen (or neither), then the graph's own admission errors.
+func decodeSolve(body []byte, maxN int) (SolveRequest, *graph.Graph, error) {
+	env, err := decodeEnvelope(body, false, maxN)
+	req := env.req
+	switch {
+	case err != nil:
+		return req, nil, fmt.Errorf("bad request body: %v", err)
+	case len(req.Graph) > 0 && len(req.Gen) == 0:
+		return req, env.g, env.gErr
+	}
+	g, err := req.BuildGraph(maxN) // a gen spec, or the both-or-neither error
+	return req, g, err
+}
+
+// envelope is one decoded graph-carrying request body.
+type envelope struct {
+	req SolveRequest
+	// dests is a session-create body's raw dests value.
+	dests []byte
+	// g is the inline graph when the scan decoded it, and gErr why it was
+	// refused instead.
+	g    *graph.Graph
+	gErr error
 }
 
 // decodeEnvelope reads the fields shared by the graph-carrying request
@@ -102,21 +136,37 @@ func DecodeSolveRequest(body []byte) (SolveRequest, error) {
 // (a list or the "all" keyword) is returned raw, last key winning.
 // Otherwise dests decodes in place, as encoding/json decodes a repeated
 // key into the same slice.
-func decodeEnvelope(body []byte, session bool) (req SolveRequest, dests []byte, err error) {
+//
+// With maxN > 0 the inline graph is also decoded (graph.ScanJSON) when
+// the scan reaches it. A graph that fails to decode or to pass admission
+// only sets gErr, and the scan goes on, since a syntax error anywhere in
+// the body takes precedence. A repeated "graph" key, where the last one
+// wins, is skipped and decoded after the scan.
+func decodeEnvelope(body []byte, session bool, maxN int) (env envelope, err error) {
+	req := &env.req
+	graphs := 0
 	s := jsonscan.New(body)
 	if !s.Null() {
 		if s.Peek() != '{' {
-			return req, nil, s.TypeError("serve.SolveRequest")
+			return env, s.TypeError("serve.SolveRequest")
 		}
 		err = s.Object(func(key []byte) error {
 			var err error
 			switch {
 			case jsonscan.KeyIs(key, "graph"):
-				req.Graph, err = s.Skip()
+				graphs++
+				if maxN > 0 && graphs == 1 {
+					req.Graph, env.gErr, err = s.Decode(func() (err error) {
+						env.g, err = graph.ScanJSON(s, maxN)
+						return err
+					})
+				} else {
+					req.Graph, err = s.Skip()
+				}
 			case jsonscan.KeyIs(key, "gen"):
 				req.Gen, err = s.Skip()
 			case jsonscan.KeyIs(key, "dests") && session:
-				dests, err = s.Skip()
+				env.dests, err = s.Skip()
 			case jsonscan.KeyIs(key, "dests"):
 				req.Dests, err = jsonscan.Ints(s, req.Dests)
 			case jsonscan.KeyIs(key, "bits"):
@@ -135,17 +185,49 @@ func decodeEnvelope(body []byte, session bool) (req SolveRequest, dests []byte, 
 			return err
 		})
 		if err != nil {
-			return req, nil, err
+			return env, err
 		}
 	}
-	return req, dests, s.End()
+	if err := s.End(); err != nil {
+		return env, err
+	}
+	if maxN > 0 && graphs > 1 {
+		env.g, env.gErr = graph.DecodeJSON(req.Graph, maxN)
+	}
+	return env, nil
 }
 
-// ReadBody reads a request body whole, capped at limit bytes. On failure
-// it also returns the status to answer with: 413 for a body over the cap,
-// 400 for any other read error.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+// maxInitialBody caps the buffer ReadBody sizes from a declared
+// Content-Length, so a header that lies costs no more than this.
+const maxInitialBody = 64 << 10
+
+// ReadBody reads a request body whole, capped at limit bytes, into one
+// buffer sized from Content-Length (at most maxInitialBody up front; a
+// body that really is larger grows it as it arrives). When timeout is
+// positive the connection's read deadline is now + timeout while the
+// body is read, so a client that trickles its body holds the handler no
+// longer than that. A body read in time clears the deadline again; after
+// a failed read it stays, so net/http does not wait on the rest of the
+// body before answering. On failure ReadBody also returns the status to
+// answer with: 413 for a body over the cap, 400 for any other read
+// error, an expired deadline included.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, timeout time.Duration) ([]byte, int, error) {
+	var rc *http.ResponseController
+	if timeout > 0 {
+		// A writer without deadlines (http.ErrNotSupported) reads
+		// unbounded, as before read deadlines existed.
+		rc = http.NewResponseController(w)
+		if rc.SetReadDeadline(time.Now().Add(timeout)) != nil {
+			rc = nil
+		}
+	}
+	// One spare byte lets the read that reports EOF land without growing
+	// the buffer. An unknown length starts where io.ReadAll starts.
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxInitialBody-1) + 1
+	}
+	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), make([]byte, 0, size))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -153,7 +235,27 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int,
 	case err != nil:
 		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 	}
+	if rc != nil {
+		_ = rc.SetReadDeadline(time.Time{})
+	}
 	return body, http.StatusOK, nil
+}
+
+// readAll is io.ReadAll into buf, growing it only once it is full.
+func readAll(rd io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // DestResult is the solution for one destination: Dist[i] is the minimum
