@@ -269,9 +269,9 @@ func run(args []string, out io.Writer) error {
 		go httpSrv.Serve(ln)
 		targetList = []string{"http://" + ln.Addr().String()}
 		defer func() {
+			stopServer(httpSrv)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			httpSrv.Shutdown(ctx)
 			svc.Shutdown(ctx)
 		}()
 	}
@@ -740,6 +740,17 @@ func runFleet(out io.Writer, fs fleetSpec) error {
 	return nil
 }
 
+// stopServer stops an in-process server once every load client has
+// returned. Nothing is left to drain then but connections a client
+// dialed and never used, which Shutdown counts idle only after ~5 s, so
+// Shutdown gets a short deadline and Close ends what is left.
+func stopServer(srv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	srv.Shutdown(ctx)
+	srv.Close()
+}
+
 // runFleetSize boots one fleet of the given size, runs the miss and
 // Zipf rows, and tears the fleet down.
 func runFleetSize(out io.Writer, fs *fleetSpec, size int, zipfS float64) ([]Summary, error) {
@@ -754,7 +765,7 @@ func runFleetSize(out io.Writer, fs *fleetSpec, size int, zipfS float64) ([]Summ
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		for _, b := range backends {
-			b.srv.Shutdown(ctx)
+			stopServer(b.srv)
 			b.svc.Shutdown(ctx)
 		}
 	}
@@ -794,7 +805,7 @@ func runFleetSize(out io.Writer, fs *fleetSpec, size int, zipfS float64) ([]Summ
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		front.Shutdown(ctx)
+		stopServer(front)
 		rt.Shutdown(ctx)
 		shutdownAll()
 	}()

@@ -98,9 +98,9 @@ func TestTargetsRoundRobin(t *testing.T) {
 		go srv.Serve(ln)
 		addrs = append(addrs, "http://"+ln.Addr().String())
 		defer func() {
+			stopServer(srv)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			srv.Shutdown(ctx)
 			svc.Shutdown(ctx)
 		}()
 	}

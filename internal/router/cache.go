@@ -3,16 +3,20 @@ package router
 import (
 	"container/list"
 	"context"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+
+	"ppamcp/internal/serve"
 )
 
 // Cache is the bounded front-door result cache: an LRU over rendered
-// 200-response bodies keyed by the exact solve identity (graph digest +
-// destinations + word width — see identity.go). Because a solve result
-// is a pure function of that identity, a cached body can never be stale;
-// the only cache policy is capacity. Bounded by entry count and by
-// total byte footprint, whichever bites first.
+// 200-response bodies keyed by the request's exact bytes (requestKey).
+// Because a solve result is a pure function of those bytes, a cached
+// body can never be stale; the only cache policy is capacity. Bounded by
+// entry count and by total byte footprint, keys included, whichever
+// bites first.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -70,7 +74,7 @@ func (c *Cache) Put(key string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		// Identical identity means identical result; keep the old body.
+		// Identical request bytes mean an identical result; keep the old body.
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -89,6 +93,30 @@ func (c *Cache) Put(key string, body []byte) {
 		c.bytes -= int64(len(ent.body) + len(ent.key) + entryOverhead)
 		c.evictions++
 	}
+}
+
+// requestKey names a solve's answer by the request's exact bytes: the
+// raw graph value, NUL, the raw gen value, NUL, the requested bits, then
+// the dests in order. The paper's DP is deterministic, so these fix the
+// response body, and nothing else in the request (timeout, key order,
+// unknown fields) can change it. NUL is a safe separator because a
+// valid JSON value holds no raw NUL byte. Two spellings of one graph get
+// two keys; each is still answered correctly. The key serves both the
+// cache and the single-flight group.
+func requestKey(req *serve.SolveRequest) string {
+	var b strings.Builder
+	b.Grow(len(req.Graph) + len(req.Gen) + 24 + 8*len(req.Dests))
+	b.Write(req.Graph)
+	b.WriteByte(0)
+	b.Write(req.Gen)
+	b.WriteByte(0)
+	var num [20]byte
+	b.Write(strconv.AppendUint(num[:0], uint64(req.Bits), 10))
+	for _, d := range req.Dests {
+		b.WriteByte(',')
+		b.Write(strconv.AppendInt(num[:0], int64(d), 10))
+	}
+	return b.String()
 }
 
 // CacheStats is a consistent snapshot for /metrics.

@@ -178,7 +178,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, fleet []BackendHealth, cache Cach
 		fmt.Fprintf(w, "pparouter_backend_sessions{backend=%q} %d\n", b.URL, b.Last.Sessions)
 	}
 
-	fmt.Fprintf(w, "# HELP pparouter_cache Front-door result cache (LRU keyed by graph digest + dests + width).\n")
+	fmt.Fprintf(w, "# HELP pparouter_cache Front-door result cache (LRU keyed by exact request bytes; a refused cache miss counts as a miss).\n")
 	fmt.Fprintf(w, "pparouter_cache_hits_total %d\n", cache.Hits)
 	fmt.Fprintf(w, "pparouter_cache_misses_total %d\n", cache.Misses)
 	fmt.Fprintf(w, "pparouter_cache_evictions_total %d\n", cache.Evictions)

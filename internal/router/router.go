@@ -12,12 +12,14 @@
 // with virtual nodes: placement is deterministic across restarts, and a
 // membership change only moves the keys of the member that changed.
 //
-// Above placement sits a front-door LRU result cache keyed by the exact
-// solve identity (SHA-256 graph digest + destinations + word width).
-// Results are pure functions of that identity, so the cache can never
-// serve a stale answer — capacity is the only policy. Concurrent misses
-// for the same identity collapse into one upstream call (single
-// flight).
+// Above placement sits a front-door LRU result cache keyed by the
+// request's exact bytes (the raw graph or gen value, the requested width
+// and the destinations). The paper's DP is deterministic, so a result is
+// a pure function of those bytes: the cache can never serve a stale
+// answer, capacity is the only policy, and a hit is answered without
+// decoding the graph. Only a miss builds the graph, to refuse what a
+// backend would refuse and to place the request. Concurrent misses for
+// the same key collapse into one upstream call (single flight).
 //
 // Around both sits the fleet envelope: active health checks against the
 // backends' /healthz (evicting on failure or a draining signal,
@@ -41,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ppamcp/internal/graph"
 	"ppamcp/internal/serve"
 )
 
@@ -69,16 +72,13 @@ type Config struct {
 	// (defaults 4096 entries, 64 MiB). CacheEntries < 0 disables it.
 	CacheEntries int
 	CacheBytes   int64
-	// IdentEntries bounds the request-bytes -> graph-identity memo
-	// (default 1024).
-	IdentEntries int
 	// MaxVertices and MaxBodyBytes mirror the backend admission bounds
 	// (defaults 512 and 8 MiB) so oversized requests die at the front
 	// door instead of fanning out.
 	MaxVertices  int
 	MaxBodyBytes int64
 	// MaxResponseBytes bounds a buffered upstream response body
-	// (default 32 MiB).
+	// (default 32 MiB); a longer one is answered with 502 and not cached.
 	MaxResponseBytes int64
 	// DefaultTimeout and MaxTimeout bound the per-request deadline the
 	// router enforces around the whole forwarding attempt chain
@@ -113,9 +113,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.IdentEntries <= 0 {
-		c.IdentEntries = 1024
 	}
 	if c.MaxVertices <= 0 {
 		c.MaxVertices = 512
@@ -152,7 +149,6 @@ type Router struct {
 	ownsClient bool // client was built here, not passed in Config.Client
 	metrics    *Metrics
 	cache      *Cache // nil when disabled
-	idents     *identCache
 	flights    *flightGroup
 	mux        *http.ServeMux
 
@@ -175,7 +171,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		metrics:  NewMetrics(),
-		idents:   newIdentCache(cfg.IdentEntries),
 		flights:  newFlightGroup(),
 		backends: make(map[string]*backendState),
 		stop:     make(chan struct{}),
@@ -476,9 +471,13 @@ func (rt *Router) sendOne(ctx context.Context, backend string, body []byte) *ups
 		return &upstream{backend: backend, err: err, latency: lat}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxResponseBytes))
+	// One byte past the bound tells a body that fits from one cut short.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxResponseBytes+1))
 	lat = time.Since(t0)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return &upstream{backend: backend, status: http.StatusGatewayTimeout, err: ctxErr, latency: lat}
+		}
 		return &upstream{backend: backend, err: err, latency: lat}
 	}
 	return &upstream{
@@ -490,9 +489,8 @@ func (rt *Router) sendOne(ctx context.Context, backend string, body []byte) *ups
 	}
 }
 
-// handleSolve is POST /v1/solve: resolve identity, try the cache,
-// single-flight the miss, forward with failover, pass the answer
-// through.
+// handleSolve is POST /v1/solve: try the cache, admit the miss,
+// single-flight it, forward with failover, pass the answer through.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	code := rt.solve(w, r)
 	rt.metrics.RecordRequest("/v1/solve", code)
@@ -516,14 +514,18 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	if len(req.Dests) == 0 {
 		return rt.writeError(w, http.StatusBadRequest, "dests must name at least one destination")
 	}
-	id, err := rt.idents.resolve(&req, rt.cfg.MaxVertices)
+	// A cached 200 for these exact bytes already proves the graph was
+	// admitted and every dest in range.
+	key := requestKey(&req)
+	if rt.cache != nil {
+		if body, ok := rt.cache.Get(key); ok {
+			rt.metrics.RecordCacheServed()
+			return writeBody(w, http.StatusOK, body, "hit", "")
+		}
+	}
+	fp, err := rt.admit(&req)
 	if err != nil {
 		return rt.writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	for _, d := range req.Dests {
-		if d < 0 || d >= id.n {
-			return rt.writeError(w, http.StatusBadRequest, "dest %d out of range [0,%d)", d, id.n)
-		}
 	}
 
 	timeout := rt.cfg.DefaultTimeout
@@ -539,16 +541,8 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout+250*time.Millisecond)
 	defer cancel()
 
-	key := resultKey(id, req.Dests)
-	if rt.cache != nil {
-		if body, ok := rt.cache.Get(key); ok {
-			rt.metrics.RecordCacheServed()
-			return writeBody(w, http.StatusOK, body, "hit", "")
-		}
-	}
-
 	res, shared, err := rt.flights.Do(ctx, key, func() *upstream {
-		return rt.forward(ctx, raw, id.fp)
+		return rt.forward(ctx, raw, fp)
 	})
 	if err != nil { // follower deadline while waiting on the leader
 		rt.metrics.RecordDeadline()
@@ -560,6 +554,9 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	if res.status == http.StatusGatewayTimeout || (res.err != nil && errors.Is(res.err, context.DeadlineExceeded)) {
 		rt.metrics.RecordDeadline()
 	}
+	if int64(len(res.body)) > rt.cfg.MaxResponseBytes {
+		return rt.writeError(w, http.StatusBadGateway, "%s answered more than %d bytes", res.backend, rt.cfg.MaxResponseBytes)
+	}
 	src := "miss"
 	if shared {
 		rt.metrics.RecordCacheServed()
@@ -570,10 +567,31 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 	if res.retryAfter != "" {
 		w.Header().Set("Retry-After", res.retryAfter)
 	}
-	if res.status == 0 { // transport-level failure with no later success
-		return rt.writeError(w, http.StatusBadGateway, "no backend answered: %v", res.err)
-	}
 	return writeBody(w, res.status, res.body, src, res.backend)
+}
+
+// admit builds a cache-missing request's graph under the backends' own
+// admission rules (MaxVertices, Validate, PickBits, dest range), so a
+// request they would refuse dies here instead of fanning out, and
+// returns the fingerprint that places it on the ring.
+func (rt *Router) admit(req *serve.SolveRequest) (uint64, error) {
+	g, err := req.BuildGraph(rt.cfg.MaxVertices)
+	if err != nil {
+		return 0, err
+	}
+	if err := g.Validate(); err != nil {
+		return 0, err
+	}
+	h, err := serve.PickBits(g, req.Bits)
+	if err != nil {
+		return 0, err
+	}
+	for _, d := range req.Dests {
+		if d < 0 || d >= g.N {
+			return 0, fmt.Errorf("dest %d out of range [0,%d)", d, g.N)
+		}
+	}
+	return graph.Fingerprint(g, h), nil
 }
 
 // RouterHealth is the body of the router's own GET /healthz.

@@ -125,42 +125,52 @@ func checkParity(t *testing.T, src []byte) string {
 	if same("solve", sr, wsr, srErr, wsrErr) && sameGraph("solve", sr.Graph, sr.Gen) {
 		accepted = append(accepted, "solve")
 	}
-	checkFused(t, src, sr, srErr)
+	checkFused(t, src, "solve", sr, srErr, sr.BuildGraph, decodeSolve)
 	ar, arErr := AllPairsRequest(sr), srErr
 	war, warErr := oracleAllPairs(src)
 	if same("allpairs", ar, war, arErr, warErr) && sameGraph("allpairs", ar.Graph, ar.Gen) {
 		accepted = append(accepted, "allpairs")
 	}
-	sc, scErr := decodeSessionCreateRequest(src)
+	// The two-pass session decode: the envelope with its graph left raw,
+	// then the dests.
+	env, scErr := decodeEnvelope(src, true, 0)
+	var sc SessionCreateRequest
+	if scErr == nil {
+		sc, scErr = env.session()
+	}
 	wsc, wscErr := oracleSessionCreate(src)
 	if same("session", sc, wsc, scErr, wscErr) && sameGraph("session", sc.Graph, sc.Gen) {
 		accepted = append(accepted, "session")
 	}
+	scGraph := SolveRequest{Graph: sc.Graph, Gen: sc.Gen}
+	checkFused(t, src, "session", sc, scErr, scGraph.BuildGraph, decodeSessionCreateRequest)
 	return strings.Join(accepted, " ")
 }
 
-// checkFused requires the handlers' one-pass entry, decodeSolve, to
-// answer src exactly as DecodeSolveRequest (which gave sr, srErr)
-// followed by BuildGraph does: the same request, the same graph, and the
-// same error in the same order of precedence, a malformed body first.
-func checkFused(t *testing.T, src []byte, sr SolveRequest, srErr error) {
+// checkFused requires a handler's one-pass entry, fused, to answer src
+// exactly as the two-pass path does, where the envelope scan gave req
+// and reqErr and build is BuildGraph on its raw graph or gen: the same
+// request, the same graph, and the same error in the same order of
+// precedence, a malformed body first.
+func checkFused[R any](t *testing.T, src []byte, kind string, req R, reqErr error,
+	build func(int) (*graph.Graph, error), fused func([]byte, int) (R, *graph.Graph, error)) {
 	t.Helper()
-	want, wantErr := (*graph.Graph)(nil), srErr
-	if srErr == nil {
-		want, wantErr = sr.BuildGraph(wireMaxN)
+	want, wantErr := (*graph.Graph)(nil), reqErr
+	if reqErr == nil {
+		want, wantErr = build(wireMaxN)
 	} else {
-		wantErr = fmt.Errorf("bad request body: %v", srErr)
+		wantErr = fmt.Errorf("bad request body: %v", reqErr)
 	}
-	fr, got, err := decodeSolve(src, wireMaxN)
+	fr, got, err := fused(src, wireMaxN)
 	switch {
 	case (err == nil) != (wantErr == nil):
-		t.Fatalf("fused: err = %v, two-pass err = %v\ninput %q", err, wantErr, src)
+		t.Fatalf("fused %s: err = %v, two-pass err = %v\ninput %q", kind, err, wantErr, src)
 	case err != nil && err.Error() != wantErr.Error():
-		t.Fatalf("fused: err = %q, two-pass err = %q\ninput %q", err, wantErr, src)
-	case err == nil && !reflect.DeepEqual(fr, sr):
-		t.Fatalf("fused: request %+v, two-pass %+v\ninput %q", fr, sr, src)
+		t.Fatalf("fused %s: err = %q, two-pass err = %q\ninput %q", kind, err, wantErr, src)
+	case err == nil && !reflect.DeepEqual(fr, req):
+		t.Fatalf("fused %s: request %+v, two-pass %+v\ninput %q", kind, fr, req, src)
 	case err == nil && !reflect.DeepEqual(got, want):
-		t.Fatalf("fused: graph %+v, two-pass %+v\ninput %q", got, want, src)
+		t.Fatalf("fused %s: graph %+v, two-pass %+v\ninput %q", kind, got, want, src)
 	}
 }
 
@@ -293,6 +303,10 @@ var wireTests = []wtest{
 	{n: "dests unknown keyword", src: `{"graph":{"n":3},"dests":"everything"}`},
 	{n: "dests all then list", src: `{"graph":{"n":3},"dests":"all","dests":[1]}`, res: "session"},
 	{n: "dests list then all", src: `{"graph":{"n":3},"dests":[1],"dests":"all"}`, res: "session"},
+	// A malformed dests answers before the graph's own errors.
+	{n: "dests unknown keyword, oversized graph", src: `{"graph":{"n":4096},"dests":"everything"}`},
+	{n: "dests unknown keyword, graph and gen", src: `{"graph":{"n":3},"gen":{"n":3},"dests":"everything"}`},
+	{n: "dests all, oversized graph", src: `{"graph":{"n":4096},"dests":"all"}`},
 	{n: "dests object", src: `{"graph":{"n":3},"dests":{}}`},
 	{n: "dests empty", src: `{"graph":{"n":3},"dests":[]}`, res: envOK},
 
@@ -338,7 +352,9 @@ func TestWireDecodeCases(t *testing.T) {
 
 // FuzzWireDecode is the differential fuzzer for the request decoders:
 // graph JSON, and the solve, all-pairs and session-create envelopes must
-// accept exactly what encoding/json accepts, with identical values.
+// accept exactly what encoding/json accepts, with identical values, and
+// the one-pass solve and session entries must answer as the two-pass
+// path does.
 func FuzzWireDecode(f *testing.F) {
 	for _, test := range wireTests {
 		f.Add(test.src)
@@ -359,7 +375,7 @@ func benchBody() []byte {
 	return []byte(fmt.Sprintf(`{"graph":%s,"dests":[5,41]}`, gj))
 }
 
-// decodeTwoPass is the public decode path, as the router's memo-miss
+// decodeTwoPass is the public decode path, as the router's cache-miss
 // path and ppabench take it: the envelope, then the inline graph.
 func decodeTwoPass(body []byte) (*graph.Graph, error) {
 	req, err := DecodeSolveRequest(body)

@@ -48,13 +48,27 @@ type SessionCreateRequest struct {
 	Bits     uint            `json:"bits,omitempty"`
 }
 
-// decodeSessionCreateRequest decodes a POST /v1/session body with the
-// envelope decoder; dests is either a list or the keyword "all".
-func decodeSessionCreateRequest(body []byte) (SessionCreateRequest, error) {
-	env, err := decodeEnvelope(body, true, 0)
-	if err != nil {
-		return SessionCreateRequest{}, err
+// decodeSessionCreateRequest decodes a POST /v1/session body and builds
+// its graph, reading the body once as decodeSolve does, with the errors
+// in the same order: a malformed body first (dests included), reported
+// as "bad request body: ...", then both graph and gen (or neither), then
+// the graph's own admission errors.
+func decodeSessionCreateRequest(body []byte, maxN int) (SessionCreateRequest, *graph.Graph, error) {
+	env, err := decodeEnvelope(body, true, maxN)
+	var req SessionCreateRequest
+	if err == nil {
+		req, err = env.session()
 	}
+	if err != nil {
+		return req, nil, fmt.Errorf("bad request body: %v", err)
+	}
+	g, err := env.build(maxN)
+	return req, g, err
+}
+
+// session reads a session-create envelope's request; dests is either a
+// list or the keyword "all".
+func (env *envelope) session() (SessionCreateRequest, error) {
 	req := SessionCreateRequest{Graph: env.req.Graph, Gen: env.req.Gen, Bits: env.req.Bits}
 	s := jsonscan.New(env.dests)
 	if env.dests == nil || s.Null() {
@@ -71,9 +85,11 @@ func decodeSessionCreateRequest(body []byte) (SessionCreateRequest, error) {
 		req.AllDests = true
 		return req, nil
 	}
-	if req.Dests, err = jsonscan.Ints[int](s, nil); err != nil {
+	dests, err := jsonscan.Ints[int](s, nil)
+	if err != nil {
 		return SessionCreateRequest{}, err
 	}
+	req.Dests = dests
 	return req, nil
 }
 
@@ -273,12 +289,7 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, status, "%v", err)
 	}
-	req, err := decodeSessionCreateRequest(body)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	sr := SolveRequest{Graph: req.Graph, Gen: req.Gen}
-	g, err := sr.BuildGraph(s.cfg.MaxVertices)
+	req, g, err := decodeSessionCreateRequest(body, s.cfg.MaxVertices)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}

@@ -109,15 +109,11 @@ func DecodeSolveRequest(body []byte) (SolveRequest, error) {
 // gen (or neither), then the graph's own admission errors.
 func decodeSolve(body []byte, maxN int) (SolveRequest, *graph.Graph, error) {
 	env, err := decodeEnvelope(body, false, maxN)
-	req := env.req
-	switch {
-	case err != nil:
-		return req, nil, fmt.Errorf("bad request body: %v", err)
-	case len(req.Graph) > 0 && len(req.Gen) == 0:
-		return req, env.g, env.gErr
+	if err != nil {
+		return env.req, nil, fmt.Errorf("bad request body: %v", err)
 	}
-	g, err := req.BuildGraph(maxN) // a gen spec, or the both-or-neither error
-	return req, g, err
+	g, err := env.build(maxN)
+	return env.req, g, err
 }
 
 // envelope is one decoded graph-carrying request body.
@@ -129,6 +125,15 @@ type envelope struct {
 	// refused instead.
 	g    *graph.Graph
 	gErr error
+}
+
+// build returns the envelope's graph: the inline graph the scan decoded,
+// or else a gen spec built now (or the both-or-neither error).
+func (env *envelope) build(maxN int) (*graph.Graph, error) {
+	if len(env.req.Graph) > 0 && len(env.req.Gen) == 0 {
+		return env.g, env.gErr
+	}
+	return env.req.BuildGraph(maxN)
 }
 
 // decodeEnvelope reads the fields shared by the graph-carrying request
@@ -298,13 +303,6 @@ type AllPairsRequest struct {
 	Dests     []int           `json:"dests,omitempty"`
 	Bits      uint            `json:"bits,omitempty"`
 	TimeoutMS int64           `json:"timeout_ms,omitempty"`
-}
-
-// BuildGraph materializes the request's graph under the same admission
-// rules as /v1/solve.
-func (r *AllPairsRequest) BuildGraph(maxN int) (*graph.Graph, error) {
-	sr := SolveRequest{Graph: r.Graph, Gen: r.Gen}
-	return sr.BuildGraph(maxN)
 }
 
 // AllPairsHeader is the first NDJSON line of a /v1/allpairs stream. The
