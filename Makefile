@@ -14,6 +14,7 @@ vet:
 
 test:
 	$(GO) test ./...
+	cd cmd/ppabench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

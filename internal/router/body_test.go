@@ -20,7 +20,11 @@ import (
 // ppaserved and pparouter with a valid body, the same body followed by
 // trailing data (400: a body is exactly one JSON value), and the same
 // body padded past MaxBodyBytes with whitespace (413 with an
-// ErrorResponse: the size alone is at fault).
+// ErrorResponse: the size alone is at fault). The graph-carrying
+// endpoints also get bodies with one admission fault each, which every
+// one of them refuses with the same status; ppaserved and pparouter
+// /v1/solve also answer every refusal with the same ErrorResponse text,
+// since both apply one admission rule.
 func TestRequestBodyEndpoints(t *testing.T) {
 	const limit = 2048
 	backend, _ := startServeBackend(t, serve.Config{MaxBodyBytes: limit})
@@ -32,6 +36,7 @@ func TestRequestBodyEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	graphMember := `"graph":` + string(gj)
 	session := fmt.Sprintf(`{"graph":%s,"dests":[0]}`, gj)
 	resp, err := backend.Client().Post(backend.URL+"/v1/session", "application/json", strings.NewReader(session))
 	if err != nil {
@@ -44,27 +49,57 @@ func TestRequestBodyEndpoints(t *testing.T) {
 		t.Fatalf("create session: status %d, %v", resp.StatusCode, err)
 	}
 
-	endpoints := []struct{ name, url, body string }{
-		{"ppaserved /v1/solve", backend.URL + "/v1/solve", fmt.Sprintf(`{"graph":%s,"dests":[1]}`, gj)},
-		{"ppaserved /v1/allpairs", backend.URL + "/v1/allpairs", fmt.Sprintf(`{"graph":%s}`, gj)},
-		{"ppaserved /v1/session", backend.URL + "/v1/session", session},
-		{"ppaserved /v1/session/{id}/update", backend.URL + "/v1/session/" + sc.SessionID + "/update", `{"updates":[{"u":0,"v":1,"w":2}]}`},
-		{"pparouter /v1/solve", front.URL + "/v1/solve", fmt.Sprintf(`{"graph":%s,"dests":[2]}`, gj)},
+	// A graph-carrying endpoint's body is {graph member, dests member};
+	// the others give theirs whole.
+	endpoints := []struct{ name, url, dests, body string }{
+		{"ppaserved /v1/solve", backend.URL + "/v1/solve", `,"dests":[1]`, ""},
+		{"ppaserved /v1/allpairs", backend.URL + "/v1/allpairs", "", ""},
+		{"ppaserved /v1/session", backend.URL + "/v1/session", `,"dests":[0]`, ""},
+		{"ppaserved /v1/session/{id}/update", backend.URL + "/v1/session/" + sc.SessionID + "/update", "", `{"updates":[{"u":0,"v":1,"w":2}]}`},
+		{"pparouter /v1/solve", front.URL + "/v1/solve", `,"dests":[2]`, ""},
 	}
 	bodies := []struct {
 		name string
 		pad  func(string) string
-		want int
+		// graph and dests, when set, replace a graph-carrying body's
+		// member; a row that sets either is for those endpoints only.
+		graph, dests string
+		want         int
 	}{
-		{"valid", func(b string) string { return b + "\n" }, http.StatusOK},
-		{"trailing data", func(b string) string { return b + " garbage" }, http.StatusBadRequest},
-		{"trailing value", func(b string) string { return b + "{}" }, http.StatusBadRequest},
-		{"oversized", func(b string) string { return b + strings.Repeat(" ", limit) }, http.StatusRequestEntityTooLarge},
+		{name: "valid", pad: func(b string) string { return b + "\n" }, want: http.StatusOK},
+		{name: "trailing data", pad: func(b string) string { return b + " garbage" }, want: http.StatusBadRequest},
+		{name: "trailing value", pad: func(b string) string { return b + "{}" }, want: http.StatusBadRequest},
+		{name: "oversized", pad: func(b string) string { return b + strings.Repeat(" ", limit) }, want: http.StatusRequestEntityTooLarge},
+		{name: "both graph and gen", graph: graphMember + `,"gen":{"gen":"chain","n":4}`, want: http.StatusBadRequest},
+		{name: "neither graph nor gen", graph: `"bits":8`, want: http.StatusBadRequest},
+		{name: "n over MaxVertices", graph: `"graph":{"n":513,"edges":[]}`, want: http.StatusBadRequest},
+		// The decoder refuses a negative weight before Validate sees it:
+		// no wire body builds a graph Validate refuses.
+		{name: "negative weight", graph: `"graph":{"n":6,"edges":[[0,1,-3]]}`, want: http.StatusBadRequest},
+		{name: "weights too wide for bits", graph: graphMember + `,"bits":4`, want: http.StatusBadRequest},
+		{name: "dest out of range", dests: `,"dests":[6]`, want: http.StatusBadRequest},
 	}
+	texts := make(map[string]map[string]string) // row -> endpoint -> error
 	for _, ep := range endpoints {
 		for _, b := range bodies {
+			body := ep.body
+			if body == "" {
+				graph, dests := graphMember, ep.dests
+				if b.graph != "" {
+					graph = b.graph
+				}
+				if b.dests != "" {
+					dests = b.dests
+				}
+				body = "{" + graph + dests + "}"
+			} else if b.pad == nil {
+				continue
+			}
+			if b.pad != nil {
+				body = b.pad(body)
+			}
 			t.Run(ep.name+"/"+b.name, func(t *testing.T) {
-				resp, err := http.Post(ep.url, "application/json", bytes.NewReader([]byte(b.pad(ep.body))))
+				resp, err := http.Post(ep.url, "application/json", bytes.NewReader([]byte(body)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +114,16 @@ func TestRequestBodyEndpoints(t *testing.T) {
 				if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
 					t.Fatalf("error body: %+v, %v", er, err)
 				}
+				if texts[b.name] == nil {
+					texts[b.name] = make(map[string]string)
+				}
+				texts[b.name][ep.name] = er.Error
 			})
+		}
+	}
+	for _, b := range bodies {
+		if backendText, routerText := texts[b.name]["ppaserved /v1/solve"], texts[b.name]["pparouter /v1/solve"]; backendText != routerText {
+			t.Errorf("%s: ppaserved /v1/solve answered %q, pparouter /v1/solve %q", b.name, backendText, routerText)
 		}
 	}
 }

@@ -17,8 +17,9 @@
 // and the destinations). The paper's DP is deterministic, so a result is
 // a pure function of those bytes: the cache can never serve a stale
 // answer, capacity is the only policy, and a hit is answered without
-// decoding the graph. Only a miss builds the graph, to refuse what a
-// backend would refuse and to place the request. Concurrent misses for
+// decoding the graph. Only a miss builds the graph, to place the request
+// and to refuse what a backend would refuse: it applies the backends'
+// own admission rule (serve.Admit), not a copy of it. Concurrent misses for
 // the same key collapse into one upstream call (single flight).
 //
 // Around both sits the fleet envelope: active health checks against the
@@ -528,16 +529,10 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 		return rt.writeError(w, http.StatusBadRequest, "%v", err)
 	}
 
-	timeout := rt.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > rt.cfg.MaxTimeout {
-		timeout = rt.cfg.MaxTimeout
-	}
 	// Small grace beyond the backend's own deadline so its 504 (and
 	// Retry-After semantics) reach the client instead of the router
 	// cutting the connection first.
+	timeout := req.Timeout(rt.cfg.DefaultTimeout, rt.cfg.MaxTimeout)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout+250*time.Millisecond)
 	defer cancel()
 
@@ -571,25 +566,17 @@ func (rt *Router) solve(w http.ResponseWriter, r *http.Request) int {
 }
 
 // admit builds a cache-missing request's graph under the backends' own
-// admission rules (MaxVertices, Validate, PickBits, dest range), so a
-// request they would refuse dies here instead of fanning out, and
-// returns the fingerprint that places it on the ring.
+// bound (MaxVertices) and admission rule (serve.Admit), so a request they
+// would refuse dies here instead of fanning out, and returns the
+// fingerprint that places it on the ring.
 func (rt *Router) admit(req *serve.SolveRequest) (uint64, error) {
 	g, err := req.BuildGraph(rt.cfg.MaxVertices)
 	if err != nil {
 		return 0, err
 	}
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	h, err := serve.PickBits(g, req.Bits)
+	h, err := serve.Admit(g, req.Dests, false, req.Bits)
 	if err != nil {
 		return 0, err
-	}
-	for _, d := range req.Dests {
-		if d < 0 || d >= g.N {
-			return 0, fmt.Errorf("dest %d out of range [0,%d)", d, g.N)
-		}
 	}
 	return graph.Fingerprint(g, h), nil
 }

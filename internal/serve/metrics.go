@@ -10,7 +10,7 @@ import (
 	"ppamcp/internal/ppa"
 )
 
-// latencyBuckets are the upper bounds (seconds) of the solve-latency
+// latencyBuckets are the upper bounds (seconds) of the request-latency
 // histogram; +Inf is implicit. Warm solves land in the low-millisecond
 // buckets, cold machine builds in the tens of milliseconds.
 var latencyBuckets = []float64{
@@ -54,7 +54,8 @@ func (m *Metrics) RecordRequest(path string, status int) {
 	byCode[status]++
 }
 
-// ObserveLatency adds one /v1/solve request duration to the histogram.
+// ObserveLatency adds one /v1/solve or /v1/allpairs request duration to
+// the histogram (for /v1/allpairs, until its stream's last line).
 func (m *Metrics) ObserveLatency(d time.Duration) {
 	s := d.Seconds()
 	m.mu.Lock()
@@ -112,7 +113,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, pool PoolStats, queueDepth int, b
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP ppaserved_solve_latency_seconds /v1/solve request latency.\n")
+	fmt.Fprintf(w, "# HELP ppaserved_solve_latency_seconds /v1/solve and /v1/allpairs request latency.\n")
 	fmt.Fprintf(w, "# TYPE ppaserved_solve_latency_seconds histogram\n")
 	cum := int64(0)
 	for i, ub := range latencyBuckets {

@@ -115,7 +115,7 @@ func (p *Pool) Get(g *graph.Graph, h uint) (*core.Session, bool, error) {
 }
 
 // Put returns a session to the pool; when the pool is full the session is
-// closed (stopping its ring workers) and dropped for the GC.
+// closed and dropped for the GC.
 func (p *Pool) Put(s *core.Session) {
 	// Key by the session's own build options, not the pool's current
 	// configuration: a session checked out under one fabric shape must
@@ -133,8 +133,8 @@ func (p *Pool) Put(s *core.Session) {
 	p.mu.Unlock()
 }
 
-// Close drains the pool, closing every idle session (deterministic ring
-// worker shutdown). The pool stays usable; subsequent Gets miss.
+// Close drains the pool, closing every idle session. The pool stays
+// usable; subsequent Gets miss.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	idle := p.idle

@@ -271,11 +271,12 @@ func TestDeadline(t *testing.T) {
 }
 
 // TestOverload429 fills the bounded queue and expects load shedding with
-// Retry-After, while every accepted request still gets a correct answer.
+// Retry-After (1.5s rounded up to whole seconds), while every accepted
+// request still gets a correct answer.
 // A gate on the solve hook holds the single worker in its first solve
 // until the burst has been shed, then lets the admitted requests finish.
 func TestOverload429(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
+	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1, RetryAfter: 1500 * time.Millisecond})
 	gt := newGate(127)
 	defer gt.open()
 	srv.hookBeforeSolve = gt.hook
@@ -334,8 +335,8 @@ func TestOverload429(t *testing.T) {
 			ok++
 		case http.StatusTooManyRequests:
 			shed++
-			if o.retry == "" {
-				t.Errorf("request %d: 429 without Retry-After", i)
+			if o.retry != "2" {
+				t.Errorf("request %d: 429 with Retry-After %q, want 1.5s rounded up to \"2\"", i, o.retry)
 			}
 		default:
 			t.Errorf("request %d: unexpected status %d", i, o.code)

@@ -164,13 +164,26 @@ func New(cfg Config) *Server {
 		janitorStop: make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/solve", s.handleSolve)
-	s.mux.HandleFunc("/v1/allpairs", s.handleAllPairs)
-	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /v1/session/{id}/update", s.handleSessionUpdate)
-	s.mux.HandleFunc("GET /v1/session/{id}/stream", s.handleSessionStream)
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/v1/solve", s.graphRoute("/v1/solve", route{
+		decode: decodeSolve, none: "dests must name at least one destination",
+		max: cfg.MaxDests, limit: "server", timed: true,
+	}, s.solve))
+	// An omitted dests list sweeps every destination, as a session's
+	// "dests": "all" does, under the same cap.
+	s.mux.HandleFunc("/v1/allpairs", s.graphRoute("/v1/allpairs", route{
+		decode: decodeSolve, max: cfg.MaxDests, limit: "server",
+		maxAll: cfg.MaxDests, overAll: "all-pairs over %d dests exceeds server limit %d",
+		distinct: true, timed: true,
+	}, s.allPairs))
+	s.mux.HandleFunc("POST /v1/session", s.graphRoute("/v1/session", route{
+		decode: decodeSessionRoute, max: cfg.MaxSessionDests, limit: "session",
+		maxAll: cfg.MaxDests, overAll: "all dests over %d vertices exceeds server limit %d",
+		distinct: true,
+	}, s.sessionCreate))
+	s.mux.HandleFunc("POST /v1/session/{id}/update", s.sessionRoute("/v1/session/update", s.sessionUpdate))
+	s.mux.HandleFunc("GET /v1/session/{id}/stream", s.sessionRoute("/v1/session/stream", s.sessionStream))
+	s.mux.HandleFunc("DELETE /v1/session/{id}", s.sessionRoute("/v1/session/delete", s.sessionDelete))
+	s.mux.HandleFunc("/healthz", s.counted("/healthz", s.healthz))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -197,7 +210,10 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.down.Store(true)
 	s.q.shutdown()
-	s.beginDrainSessions()
+	// Session runners finish their already-accepted updates and exit
+	// (tracked by sessWG); the janitor stops.
+	s.eachSession((*liveSession).beginClose)
+	close(s.janitorStop)
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -209,7 +225,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.pool.Close()
 		return nil
 	case <-ctx.Done():
-		s.cancelSessions()
+		// Unblock any runner stuck on an unread stream.
+		s.eachSession(func(ls *liveSession) { ls.cancel() })
 		return ctx.Err()
 	}
 }
@@ -234,17 +251,16 @@ func (s *Server) worker() {
 // A panic while solving fails only the offending job; the session is
 // assumed poisoned and dropped instead of repooled.
 func (s *Server) runBatch(b *batch) {
-	sess, hit, err := s.pool.Get(b.g, b.h)
+	l, err := s.checkout(b.g, b.h)
 	if err != nil {
 		for _, j := range b.jobs {
 			j.finish(jobDone{err: err, status: http.StatusBadRequest})
 		}
 		return
 	}
-	healthy := true
 	cache := make(map[int]*core.Result, len(b.jobs[0].dests))
 	for _, j := range b.jobs {
-		if !healthy {
+		if l.poisoned {
 			j.finish(jobDone{err: errors.New("serve: session poisoned by an earlier panic"), status: http.StatusInternalServerError})
 			continue
 		}
@@ -254,14 +270,7 @@ func (s *Server) runBatch(b *batch) {
 		}
 		results := make([]*core.Result, 0, len(j.dests))
 		var cost ppa.Metrics
-		jerr := func() (jerr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					healthy = false
-					s.metrics.RecordPanic()
-					jerr = fmt.Errorf("serve: solve panicked: %v", r)
-				}
-			}()
+		err := s.guard(&l, func() error {
 			for _, d := range j.dests {
 				r, ok := cache[d]
 				if !ok {
@@ -269,16 +278,11 @@ func (s *Server) runBatch(b *batch) {
 						s.hookBeforeSolve(d)
 					}
 					var err error
-					r, err = sess.SolveContext(j.ctx, d)
-					if err != nil {
+					if r, err = l.SolveContext(j.ctx, d); err != nil {
 						return err
 					}
-					if s.cfg.SolveDelay > 0 {
-						select {
-						case <-time.After(s.cfg.SolveDelay):
-						case <-j.ctx.Done():
-							return j.ctx.Err()
-						}
+					if err := s.solveDelay(j.ctx); err != nil {
+						return err
 					}
 					s.metrics.AddSolves(1, r.Metrics)
 					cache[d] = r
@@ -290,99 +294,33 @@ func (s *Server) runBatch(b *batch) {
 				cost = cost.Add(r.Metrics)
 			}
 			return nil
-		}()
-		switch {
-		case jerr == nil:
-			j.finish(jobDone{results: results, cost: cost, poolHit: hit, batched: len(b.jobs)})
-		case errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded):
-			j.finish(jobDone{err: jerr, status: http.StatusGatewayTimeout})
-		case !healthy:
-			j.finish(jobDone{err: jerr, status: http.StatusInternalServerError})
-		default:
-			j.finish(jobDone{err: jerr, status: http.StatusBadRequest})
+		})
+		if err != nil {
+			j.finish(jobDone{err: err, status: l.status(err)})
+			continue
 		}
+		j.finish(jobDone{results: results, cost: cost, poolHit: l.hit, batched: len(b.jobs)})
 	}
-	if healthy {
-		s.pool.Put(sess)
-	} else {
-		sess.Close()
-	}
+	s.release(&l)
 }
 
-// handleSolve is POST /v1/solve.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := s.solve(w, r)
-	s.metrics.RecordRequest("/v1/solve", code)
-	s.metrics.ObserveLatency(time.Since(start))
-}
-
-// solve does the work and returns the status code it wrote.
-func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodPost {
-		return writeError(w, http.StatusMethodNotAllowed, "POST only")
-	}
-	if s.down.Load() {
-		return writeError(w, http.StatusServiceUnavailable, "shutting down")
-	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
-	if err != nil {
-		return writeError(w, status, "%v", err)
-	}
-	req, g, err := decodeSolve(body, s.cfg.MaxVertices)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	if err := g.Validate(); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	if len(req.Dests) == 0 {
-		return writeError(w, http.StatusBadRequest, "dests must name at least one destination")
-	}
-	if len(req.Dests) > s.cfg.MaxDests {
-		return writeError(w, http.StatusBadRequest, "%d dests exceeds server limit %d", len(req.Dests), s.cfg.MaxDests)
-	}
-	for _, d := range req.Dests {
-		if d < 0 || d >= g.N {
-			return writeError(w, http.StatusBadRequest, "dest %d out of range [0,%d)", d, g.N)
-		}
-	}
-	h, err := PickBits(g, req.Bits)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+// solve queues the admitted /v1/solve request, where it may join a
+// queued batch for the same graph, and answers with the results the
+// worker hands back.
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, a admitted) int {
+	ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
 	defer cancel()
-
-	j := &job{ctx: ctx, dests: req.Dests, done: make(chan jobDone, 1)}
-	switch err := s.q.enqueue(j, g, h, s.cfg.MaxBatch); {
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		return writeError(w, http.StatusTooManyRequests, "queue full; retry later")
-	case errors.Is(err, ErrShuttingDown):
-		return writeError(w, http.StatusServiceUnavailable, "shutting down")
-	case err != nil:
-		return writeError(w, http.StatusInternalServerError, "%v", err)
+	j := &job{ctx: ctx, dests: a.dests, done: make(chan jobDone, 1)}
+	if code := s.enqueue(w, j, a); code != 0 {
+		return code
 	}
-
 	select {
 	case d := <-j.done:
 		if d.err != nil {
-			if d.status == http.StatusGatewayTimeout {
-				s.metrics.RecordDeadline()
-			}
-			return writeError(w, d.status, "%v", d.err)
+			return s.fail(w, d.status, d.err)
 		}
 		// The SolveResponse, appended straight from the results.
-		body := appendSolveResponse(make([]byte, 0, 128+len(d.results)*(16*g.N+48)), g.N, h, d)
+		body := appendSolveResponse(make([]byte, 0, 128+len(d.results)*(16*a.g.N+48)), a.g.N, a.h, d)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
@@ -391,112 +329,44 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
 	case <-ctx.Done():
 		// The worker will observe the same context and abandon the job;
 		// the buffered done channel lets it move on regardless.
-		s.metrics.RecordDeadline()
-		return writeError(w, http.StatusGatewayTimeout, "%v", ctx.Err())
+		return s.fail(w, http.StatusGatewayTimeout, ctx.Err())
 	}
 }
 
-// handleAllPairs is POST /v1/allpairs.
-func (s *Server) handleAllPairs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := s.allPairs(w, r)
-	s.metrics.RecordRequest("/v1/allpairs", code)
-	s.metrics.ObserveLatency(time.Since(start))
-}
-
-// allPairs admits the request as an exclusive streaming job, waits for a
-// worker to lend it its slot, and runs the sweep on this goroutine,
-// writing rows as NDJSON under the flush rule (ndjson.go). The status
-// code is held back until the first row: an error before any row maps to
-// the same HTTP statuses as /v1/solve, while an error mid-stream (the 200
-// is already on the wire) becomes a final ErrorResponse line with no
-// done:true trailer.
-func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodPost {
-		return writeError(w, http.StatusMethodNotAllowed, "POST only")
-	}
-	if s.down.Load() {
-		return writeError(w, http.StatusServiceUnavailable, "shutting down")
-	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
-	if err != nil {
-		return writeError(w, status, "%v", err)
-	}
-	sr, g, err := decodeSolve(body, s.cfg.MaxVertices)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	req := AllPairsRequest(sr)
-	if err := g.Validate(); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	// An omitted dests list sweeps every destination; an explicit one
-	// streams just that subset, in request order.
-	if len(req.Dests) == 0 {
-		if g.N > s.cfg.MaxDests {
-			return writeError(w, http.StatusBadRequest, "all-pairs over %d dests exceeds server limit %d", g.N, s.cfg.MaxDests)
-		}
-	} else {
-		if len(req.Dests) > s.cfg.MaxDests {
-			return writeError(w, http.StatusBadRequest, "%d dests exceeds server limit %d", len(req.Dests), s.cfg.MaxDests)
-		}
-		seen := make(map[int]bool, len(req.Dests))
-		for i, d := range req.Dests {
-			if d < 0 || d >= g.N {
-				return writeError(w, http.StatusBadRequest, "dest %d out of range [0,%d)", d, g.N)
-			}
-			if seen[d] {
-				return writeError(w, http.StatusBadRequest, "duplicate dest %d at dests[%d]", d, i)
-			}
-			seen[d] = true
-		}
-	}
-	h, err := PickBits(g, req.Bits)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+// allPairs queues the admitted request as an exclusive streaming job,
+// waits for a worker to lend it its slot, and runs the sweep on this
+// goroutine, writing rows as NDJSON under the flush rule (ndjson.go). The
+// status code is held back until the first row: an error before any row
+// maps to the same HTTP statuses as /v1/solve, while an error mid-stream
+// (the 200 is already on the wire) becomes a final ErrorResponse line
+// with no done:true trailer.
+func (s *Server) allPairs(w http.ResponseWriter, r *http.Request, a admitted) int {
+	ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
 	defer cancel()
-
-	j := &job{ctx: ctx, dests: req.Dests, lend: make(chan struct{}), back: make(chan struct{})}
-	switch err := s.q.enqueue(j, g, h, s.cfg.MaxBatch); {
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		return writeError(w, http.StatusTooManyRequests, "queue full; retry later")
-	case errors.Is(err, ErrShuttingDown):
-		return writeError(w, http.StatusServiceUnavailable, "shutting down")
-	case err != nil:
-		return writeError(w, http.StatusInternalServerError, "%v", err)
+	j := &job{ctx: ctx, lend: make(chan struct{}), back: make(chan struct{})}
+	if code := s.enqueue(w, j, a); code != 0 {
+		return code
 	}
 	select {
 	case <-j.lend:
 	case <-ctx.Done():
 		// The worker that dequeues the job sees the same context and keeps
 		// its slot.
-		s.metrics.RecordDeadline()
-		return writeError(w, http.StatusGatewayTimeout, "%v", ctx.Err())
+		return s.fail(w, http.StatusGatewayTimeout, ctx.Err())
 	}
 
 	st := newRowStream(w, 0)
 	d := func() sweepDone {
 		defer close(j.back)
-		return s.sweep(ctx, st, g, h, req.Dests)
+		return s.sweep(ctx, st, a)
 	}()
-	if d.err != nil && d.status == http.StatusGatewayTimeout {
-		s.metrics.RecordDeadline()
-	}
 	switch {
 	case d.err != nil && !d.streaming:
-		return writeError(w, d.status, "%v", d.err)
+		return s.fail(w, d.status, d.err)
 	case d.err != nil:
+		if d.status == http.StatusGatewayTimeout {
+			s.metrics.RecordDeadline()
+		}
 		if ctx.Err() != nil {
 			// The request deadline is also the write deadline: give the
 			// line that reports the expiry a moment of its own.
@@ -516,58 +386,30 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 // stream cut by its own deadline may take to write.
 const errorLineGrace = 100 * time.Millisecond
 
-// sweepDone is how one /v1/allpairs sweep ended: the rows written, their
-// summed cost and DP rounds, and on failure the error, the status to
-// report it with before the stream is committed, and whether it was.
+// sweepDone is how one /v1/allpairs sweep ended: its totals, and on
+// failure the error, the status to report it with before the stream is
+// committed, and whether it was.
 type sweepDone struct {
-	rows, iterations   int
-	cost               ppa.Metrics
+	sweepTotals
 	poolHit, streaming bool
 	err                error
 	status             int
 }
 
 // sweep runs one /v1/allpairs sweep on the handler goroutine, inside the
-// worker slot the handler was lent: a single warm session sweeps the
-// destination set (every destination 0..n-1, or the requested subset)
-// with one weight DMA, and each row is written to st as it lands, the
-// response committed with the first. The panic and deadline contracts
-// match runBatch: a panic fails this request and drops the session; ctx
-// is observed between destinations and between DP iterations. The
-// session is back in the pool (or closed) when sweep returns.
-func (s *Server) sweep(ctx context.Context, st *rowStream, g *graph.Graph, h uint, dests []int) (d sweepDone) {
-	sess, hit, err := s.pool.Get(g, h)
+// worker slot the handler was lent: a single warm session sweeps a's
+// destinations with one weight DMA, and each row is written to st as it
+// lands, the response committed with the first. The panic and deadline
+// contracts match runBatch. The session is back in the pool (or closed)
+// when sweep returns.
+func (s *Server) sweep(ctx context.Context, st *rowStream, a admitted) (d sweepDone) {
+	l, err := s.checkout(a.g, a.h)
 	if err != nil {
 		return sweepDone{err: err, status: http.StatusBadRequest}
 	}
-	d.poolHit = hit
-	if len(dests) == 0 {
-		dests = make([]int, g.N)
-		for i := range dests {
-			dests[i] = i
-		}
-	}
-	healthy := true
-	d.err = func() (jerr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				healthy = false
-				s.metrics.RecordPanic()
-				jerr = fmt.Errorf("serve: solve panicked: %v", r)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// The test hook fires before each destination's solve: the first
-		// here, the next one after the previous row is written.
-		if s.hookBeforeSolve != nil {
-			s.hookBeforeSolve(dests[0])
-		}
-		return sess.SolveSweep(ctx, dests, func(r *core.Result) error {
-			s.metrics.AddSolves(1, r.Metrics)
-			d.cost = d.cost.Add(r.Metrics)
-			d.iterations += r.Iterations
+	d.poolHit = l.hit
+	d.err = s.guard(&l, func() (err error) {
+		d.sweepTotals, err = s.streamSweep(ctx, l.SolveSweep, a.dests, func(r *core.Result) error {
 			if !d.streaming {
 				// The first row commits the response. The request
 				// deadline becomes the write deadline (where the writer
@@ -580,38 +422,18 @@ func (s *Server) sweep(ctx context.Context, st *rowStream, g *graph.Graph, h uin
 				if dl, ok := ctx.Deadline(); ok {
 					_ = st.rc.SetWriteDeadline(dl)
 				}
-				_ = st.line(AllPairsHeader{N: g.N, Bits: h}, false)
+				_ = st.line(AllPairsHeader{N: a.g.N, Bits: a.h}, false)
 			}
 			if err := st.row(nil, r); err != nil {
 				return err
 			}
-			d.rows++
-			if s.cfg.SolveDelay > 0 {
-				select {
-				case <-time.After(s.cfg.SolveDelay):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			if s.hookBeforeSolve != nil && d.rows < len(dests) {
-				s.hookBeforeSolve(dests[d.rows])
-			}
-			return nil
+			return s.solveDelay(ctx)
 		})
-	}()
-	if healthy {
-		s.pool.Put(sess)
-	} else {
-		sess.Close()
-	}
-	switch {
-	case d.err == nil:
-	case errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded):
-		d.status = http.StatusGatewayTimeout
-	case !healthy:
-		d.status = http.StatusInternalServerError
-	default:
-		d.status = http.StatusBadRequest
+		return err
+	})
+	s.release(&l)
+	if d.err != nil {
+		d.status = l.status(d.err)
 	}
 	return d
 }
@@ -640,11 +462,11 @@ func PickBits(g *graph.Graph, reqBits uint) (uint, error) {
 	return h, nil
 }
 
-// handleHealthz keeps the load-balancer status-code contract (200
-// serving, 503 draining) and carries a small JSON body so a router can
-// weight and evict on load — pool occupancy, queue depth, in-flight
-// batches — not just liveness.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// healthz keeps the load-balancer status-code contract (200 serving,
+// 503 draining) and carries a small JSON body so a router can weight and
+// evict on load — pool occupancy, queue depth, in-flight batches — not
+// just liveness.
+func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) int {
 	hs := HealthStatus{
 		Status:          "ok",
 		PoolIdle:        s.pool.Stats().Idle,
@@ -658,8 +480,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		hs.Draining = true
 		code = http.StatusServiceUnavailable
 	}
-	s.metrics.RecordRequest("/healthz", code)
-	writeJSON(w, code, hs)
+	return writeJSON(w, code, hs)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -275,70 +274,13 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// handleSessionCreate is POST /v1/session.
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	code := s.sessionCreate(w, r)
-	s.metrics.RecordRequest("/v1/session", code)
-}
-
-func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
-	if s.down.Load() {
-		return writeError(w, http.StatusServiceUnavailable, "shutting down")
+// sessionCreate opens a dynamic-graph session on the admitted graph and
+// starts its runner.
+func (s *Server) sessionCreate(w http.ResponseWriter, _ *http.Request, a admitted) int {
+	if s.sessionCount() >= s.cfg.MaxSessions {
+		return s.shed(w, "session limit %d reached", s.cfg.MaxSessions)
 	}
-	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
-	if err != nil {
-		return writeError(w, status, "%v", err)
-	}
-	req, g, err := decodeSessionCreateRequest(body, s.cfg.MaxVertices)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	if err := g.Validate(); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	dests := req.Dests
-	if req.AllDests {
-		// The incremental all-pairs session: every destination, one warm
-		// fabric, gated by the same row cap as /v1/allpairs.
-		if g.N > s.cfg.MaxDests {
-			return writeError(w, http.StatusBadRequest, "all dests over %d vertices exceeds server limit %d", g.N, s.cfg.MaxDests)
-		}
-		dests = make([]int, g.N)
-		for d := range dests {
-			dests[d] = d
-		}
-	} else {
-		if len(dests) == 0 {
-			return writeError(w, http.StatusBadRequest, `dests must name at least one destination (or "all")`)
-		}
-		if len(dests) > s.cfg.MaxSessionDests {
-			return writeError(w, http.StatusBadRequest, "%d dests exceeds session limit %d", len(dests), s.cfg.MaxSessionDests)
-		}
-		seen := make(map[int]bool, len(dests))
-		for i, d := range dests {
-			if d < 0 || d >= g.N {
-				return writeError(w, http.StatusBadRequest, "dest %d out of range [0,%d)", d, g.N)
-			}
-			if seen[d] {
-				return writeError(w, http.StatusBadRequest, "duplicate dest %d at dests[%d]", d, i)
-			}
-			seen[d] = true
-		}
-	}
-	h, err := PickBits(g, req.Bits)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
-	}
-
-	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.sessMu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		return writeError(w, http.StatusTooManyRequests, "session limit %d reached", s.cfg.MaxSessions)
-	}
-	s.sessMu.Unlock()
-
-	sess, hit, err := s.pool.Get(g, h)
+	l, err := s.checkout(a.g, a.h)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -346,13 +288,13 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	ls := &liveSession{
 		id:    newSessionID(),
-		n:     g.N,
-		h:     h,
-		dests: append([]int(nil), dests...),
+		n:     a.g.N,
+		h:     a.h,
+		dests: a.dests,
 		jobs:  make(chan sessJob, s.cfg.SessionQueueDepth),
 		// Sized so a full jobs queue plus the initial solve fit without a
 		// reader; past that the runner blocks and admission sheds load.
-		events:     make(chan sessEvent, (s.cfg.SessionQueueDepth+2)*(len(dests)+1)+2),
+		events:     make(chan sessEvent, (s.cfg.SessionQueueDepth+2)*(len(a.dests)+1)+2),
 		ctx:        ctx,
 		cancel:     cancel,
 		done:       make(chan struct{}),
@@ -360,24 +302,20 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 	}
 
 	s.sessMu.Lock()
-	if s.sessions == nil {
-		s.sessions = make(map[string]*liveSession)
-	}
 	if len(s.sessions) >= s.cfg.MaxSessions || s.down.Load() {
 		s.sessMu.Unlock()
 		cancel()
-		s.pool.Put(sess)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		return writeError(w, http.StatusTooManyRequests, "session limit %d reached", s.cfg.MaxSessions)
+		s.release(&l)
+		return s.shed(w, "session limit %d reached", s.cfg.MaxSessions)
 	}
 	s.sessions[ls.id] = ls
 	s.sessMu.Unlock()
 
 	s.sessWG.Add(1)
-	go s.sessionRunner(ls, sess)
+	go s.sessionRunner(ls, l)
 
 	return writeJSON(w, http.StatusOK, SessionCreated{
-		SessionID: ls.id, N: g.N, Bits: h, Dests: ls.dests, PoolHit: hit,
+		SessionID: ls.id, N: a.g.N, Bits: a.h, Dests: ls.dests, PoolHit: l.hit,
 	})
 }
 
@@ -386,64 +324,36 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 // queued update batch and re-solves the destination set warm. A panic
 // poisons only this session; its fabric is discarded rather than
 // repooled.
-func (s *Server) sessionRunner(ls *liveSession, sess *core.Session) {
+func (s *Server) sessionRunner(ls *liveSession, l lease) {
 	defer s.sessWG.Done()
-	healthy := true
 	defer func() {
 		s.sessMu.Lock()
 		delete(s.sessions, ls.id)
 		s.sessMu.Unlock()
 		ls.cancel()
 		close(ls.done)
-		if healthy {
-			s.pool.Put(sess)
-		} else {
-			sess.Close()
-		}
+		s.release(&l)
 	}()
 
 	// resolveGen streams one re-solve generation: a single warm
 	// ResolveSweep over the whole destination set (retained solutions as
 	// seeds, untouched destinations skipped outright) instead of
-	// per-destination Resolve calls. The test hook keeps its contract —
-	// it fires before each destination's solve — by running for the next
-	// destination inside the previous row's yield.
-	resolveGen := func(seq uint64) (jerr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				healthy = false
-				s.metrics.RecordPanic()
-				jerr = fmt.Errorf("serve: session re-solve panicked: %v", r)
+	// per-destination Resolve calls.
+	resolveGen := func(seq uint64) error {
+		return s.guard(&l, func() error {
+			t, err := s.streamSweep(ls.ctx, l.ResolveSweep, ls.dests, func(r *core.Result) error {
+				if !ls.send(sessEvent{kind: evRow, seq: seq, res: r}) {
+					return context.Canceled
+				}
+				return nil
+			})
+			if err == nil && !ls.send(sessEvent{kind: evTrailer, trailer: SessionTrailer{
+				Seq: seq, Rows: t.rows, Cost: t.cost, Iterations: t.iterations,
+			}}) {
+				err = context.Canceled
 			}
-		}()
-		var cost ppa.Metrics
-		iterations := 0
-		row := 0
-		if s.hookBeforeSolve != nil {
-			s.hookBeforeSolve(ls.dests[0])
-		}
-		err := sess.ResolveSweep(ls.ctx, ls.dests, func(r *core.Result) error {
-			s.metrics.AddSolves(1, r.Metrics)
-			cost = cost.Add(r.Metrics)
-			iterations += r.Iterations
-			if !ls.send(sessEvent{kind: evRow, seq: seq, res: r}) {
-				return context.Canceled
-			}
-			row++
-			if s.hookBeforeSolve != nil && row < len(ls.dests) {
-				s.hookBeforeSolve(ls.dests[row])
-			}
-			return nil
-		})
-		if err != nil {
 			return err
-		}
-		if !ls.send(sessEvent{kind: evTrailer, trailer: SessionTrailer{
-			Seq: seq, Rows: len(ls.dests), Cost: cost, Iterations: iterations,
-		}}) {
-			return context.Canceled
-		}
-		return nil
+		})
 	}
 
 	fail := func(err error) {
@@ -465,10 +375,10 @@ func (s *Server) sessionRunner(ls *liveSession, sess *core.Session) {
 			ls.mu.Lock()
 			ls.pending--
 			ls.mu.Unlock()
-			if err := sess.Update(j.updates); err != nil {
+			if err := l.Update(j.updates); err != nil {
 				// Batches are fully validated at admission; reaching this
 				// means the session state is unexplainable — poison it.
-				healthy = false
+				l.poisoned = true
 				fail(fmt.Errorf("serve: update rejected post-admission: %v", err))
 				return
 			}
@@ -483,17 +393,8 @@ func (s *Server) sessionRunner(ls *liveSession, sess *core.Session) {
 	}
 }
 
-// handleSessionUpdate is POST /v1/session/{id}/update.
-func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	code := s.sessionUpdate(w, r)
-	s.metrics.RecordRequest("/v1/session/update", code)
-}
-
-func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
-	ls := s.lookupSession(r.PathValue("id"))
-	if ls == nil {
-		return writeError(w, http.StatusNotFound, "no such session")
-	}
+// sessionUpdate is POST /v1/session/{id}/update.
+func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request, ls *liveSession) int {
 	body, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.DefaultTimeout)
 	if err != nil {
 		return writeError(w, status, "%v", err)
@@ -535,8 +436,7 @@ func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
 	}
 	if ls.pending >= s.cfg.SessionQueueDepth {
 		ls.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		return writeError(w, http.StatusTooManyRequests, "session update queue full; retry later")
+		return s.shed(w, "session update queue full; retry later")
 	}
 	ls.seq++
 	seq := ls.seq
@@ -552,17 +452,8 @@ func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, UpdateAccepted{Seq: seq, Pending: pending})
 }
 
-// handleSessionStream is GET /v1/session/{id}/stream.
-func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	code := s.sessionStream(w, r)
-	s.metrics.RecordRequest("/v1/session/stream", code)
-}
-
-func (s *Server) sessionStream(w http.ResponseWriter, r *http.Request) int {
-	ls := s.lookupSession(r.PathValue("id"))
-	if ls == nil {
-		return writeError(w, http.StatusNotFound, "no such session")
-	}
+// sessionStream is GET /v1/session/{id}/stream.
+func (s *Server) sessionStream(w http.ResponseWriter, r *http.Request, ls *liveSession) int {
 	ls.mu.Lock()
 	if ls.streaming {
 		ls.mu.Unlock()
@@ -632,19 +523,12 @@ func (s *Server) sessionStream(w http.ResponseWriter, r *http.Request) int {
 	}
 }
 
-// handleSessionDelete is DELETE /v1/session/{id}: a graceful close. The
+// sessionDelete is DELETE /v1/session/{id}: a graceful close. The
 // runner drains already-accepted updates, their rows still reach the
 // stream, then a closed line ends it.
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	ls := s.lookupSession(r.PathValue("id"))
-	if ls == nil {
-		s.metrics.RecordRequest("/v1/session/delete", http.StatusNotFound)
-		writeError(w, http.StatusNotFound, "no such session")
-		return
-	}
+func (s *Server) sessionDelete(w http.ResponseWriter, _ *http.Request, ls *liveSession) int {
 	ls.beginClose()
-	s.metrics.RecordRequest("/v1/session/delete", http.StatusOK)
-	writeJSON(w, http.StatusOK, SessionClosed{Closed: true, Reason: "client close"})
+	return writeJSON(w, http.StatusOK, SessionClosed{Closed: true, Reason: "client close"})
 }
 
 // beginClose stops admission and hands the runner its drain signal; safe
@@ -659,10 +543,18 @@ func (ls *liveSession) beginClose() {
 	close(ls.jobs)
 }
 
-func (s *Server) lookupSession(id string) *liveSession {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return s.sessions[id]
+// sessionRoute is the handler of an endpoint on one live session: an
+// unknown id answers 404, a known one is served by next.
+func (s *Server) sessionRoute(path string, next func(http.ResponseWriter, *http.Request, *liveSession) int) http.HandlerFunc {
+	return s.counted(path, func(w http.ResponseWriter, r *http.Request) int {
+		s.sessMu.Lock()
+		ls := s.sessions[r.PathValue("id")]
+		s.sessMu.Unlock()
+		if ls == nil {
+			return writeError(w, http.StatusNotFound, "no such session")
+		}
+		return next(w, r, ls)
+	})
 }
 
 // sessionJanitor evicts sessions idle past the configured timeout. Idle
@@ -701,11 +593,8 @@ func (s *Server) sessionJanitor() {
 	}
 }
 
-// beginDrainSessions starts a graceful close of every session and stops
-// the janitor; runners finish already-accepted updates and exit (tracked
-// by sessWG). cancelSessions is the hard fallback for a drain deadline:
-// it unblocks any runner stuck on an unread stream.
-func (s *Server) beginDrainSessions() {
+// eachSession calls f on every live session, outside the table's lock.
+func (s *Server) eachSession(f func(*liveSession)) {
 	s.sessMu.Lock()
 	all := make([]*liveSession, 0, len(s.sessions))
 	for _, ls := range s.sessions {
@@ -713,19 +602,6 @@ func (s *Server) beginDrainSessions() {
 	}
 	s.sessMu.Unlock()
 	for _, ls := range all {
-		ls.beginClose()
-	}
-	close(s.janitorStop)
-}
-
-func (s *Server) cancelSessions() {
-	s.sessMu.Lock()
-	all := make([]*liveSession, 0, len(s.sessions))
-	for _, ls := range s.sessions {
-		all = append(all, ls)
-	}
-	s.sessMu.Unlock()
-	for _, ls := range all {
-		ls.cancel()
+		f(ls)
 	}
 }

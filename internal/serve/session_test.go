@@ -310,11 +310,17 @@ func TestSessionE2E(t *testing.T) {
 
 // TestSessionValidationAndQuotas covers the admission envelope: bad
 // bodies and edits answer 400 synchronously, unknown ids 404, the session
-// cap 429.
+// cap and a full update queue 429 with Retry-After (1.5s rounded up to
+// whole seconds). A gate holds the runner in its creation-time solve, so
+// accepted updates stay queued.
 func TestSessionValidationAndQuotas(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxSessions: 1, MaxSessionDests: 2})
+	srv := New(Config{Workers: 1, MaxSessions: 1, MaxSessionDests: 2, SessionQueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
+	gt := newGate(0)
+	defer gt.open()
+	srv.hookBeforeSolve = gt.hook
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
+		gt.open()
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -338,8 +344,9 @@ func TestSessionValidationAndQuotas(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("create: status %d (%v)", code, er)
 	}
-	if _, code, _ = createSession(t, ts, SessionCreateRequest{Graph: rawGraph(t, g), Dests: []int{0}}); code != http.StatusTooManyRequests {
-		t.Fatalf("create over cap: status %d, want 429", code)
+	resp := recv(t, goPost(ts, "/v1/session", SessionCreateRequest{Graph: rawGraph(t, g), Dests: []int{0}}))
+	if code, retry := resp.StatusCode, resp.Header.Get("Retry-After"); code != http.StatusTooManyRequests || retry != "2" {
+		t.Fatalf("create over cap: status %d, Retry-After %q; want 429 with Retry-After 2", code, retry)
 	}
 
 	for _, bad := range [][]WireUpdate{
@@ -355,6 +362,14 @@ func TestSessionValidationAndQuotas(t *testing.T) {
 	if _, code, _ := postUpdate(t, ts, "deadbeef", []WireUpdate{{U: 0, V: 1, W: 1}}); code != http.StatusNotFound {
 		t.Fatalf("update unknown id: status %d, want 404", code)
 	}
+	if _, code, er := postUpdate(t, ts, sc.SessionID, []WireUpdate{{U: 0, V: 1, W: 1}}); code != http.StatusOK {
+		t.Fatalf("update: status %d (%v)", code, er)
+	}
+	resp = recv(t, goPost(ts, "/v1/session/"+sc.SessionID+"/update", SessionUpdateRequest{Updates: []WireUpdate{{U: 0, V: 1, W: 2}}}))
+	if code, retry := resp.StatusCode, resp.Header.Get("Retry-After"); code != http.StatusTooManyRequests || retry != "2" {
+		t.Fatalf("update over the queue: status %d, Retry-After %q; want 429 with Retry-After 2", code, retry)
+	}
+	gt.open()
 	if code := deleteSession(t, ts, sc.SessionID); code != http.StatusOK {
 		t.Fatalf("delete: status %d", code)
 	}

@@ -131,9 +131,10 @@ func recv(t *testing.T, ch <-chan *http.Response) *http.Response {
 
 // TestAllPairsOverload429 holds one sweep open in its hook, so a second
 // sweep fills the depth-1 FIFO and a third is shed with 429 and
-// Retry-After; once released, both accepted tables complete.
+// Retry-After (1.5s rounded up to 2); once released, both accepted tables
+// complete.
 func TestAllPairsOverload429(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1})
+	srv := New(Config{Workers: 1, QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
 	gt := newGate(1)
 	defer gt.open()
 	srv.hookBeforeSolve = gt.hook
@@ -152,8 +153,8 @@ func TestAllPairsOverload429(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("third sweep: status %d, Retry-After %q; want 429 with Retry-After",
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" {
+		t.Errorf("third sweep: status %d, Retry-After %q; want 429 with Retry-After 2",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 

@@ -11,15 +11,17 @@
 // one session checkout (micro-batching), so a burst of routing queries
 // against one topology pays for one weight DMA.
 //
-// Around that core sits the production envelope: a bounded admission
-// queue that sheds load with 429 + Retry-After instead of collapsing,
-// per-request deadlines propagated via context.Context and observed
-// between DP iterations (a dead client cannot pin a session), panic
-// isolation per request (a poisoned session is discarded, not repooled),
-// graceful shutdown that drains in-flight solves, and an observability
-// surface (/healthz, /metrics) exposing request counts, latency
-// histograms, pool and queue behaviour, and the paper's cost-model
-// counters (bus cycles, wired-OR cycles, PE ops) aggregated per endpoint.
+// Around that core sits the production envelope, written once as the
+// request lifecycle (lifecycle.go) of /v1/solve, /v1/allpairs and POST
+// /v1/session: one intake under one admission rule (Admit, which the
+// router tier applies too), a bounded queue that sheds load with 429 +
+// Retry-After instead of collapsing, per-request deadlines observed
+// between DP iterations (a dead client cannot pin a session), and one
+// panic guard per checked-out session (a poisoned session is discarded,
+// not repooled). Graceful shutdown drains in-flight solves; /healthz and
+// /metrics expose request counts, a request-latency histogram, pool and
+// queue behaviour, and the paper's cost-model counters (bus cycles,
+// wired-OR cycles, PE ops) aggregated over all solves.
 package serve
 
 import (
@@ -85,6 +87,15 @@ func (r *SolveRequest) BuildGraph(maxN int) (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("request needs a graph or a gen spec")
 	}
+}
+
+// Timeout is the request's deadline: TimeoutMS when set, else def, and
+// never more than max.
+func (r *SolveRequest) Timeout(def, max time.Duration) time.Duration {
+	if r.TimeoutMS > 0 {
+		def = time.Duration(r.TimeoutMS) * time.Millisecond
+	}
+	return min(def, max)
 }
 
 // DecodeSolveRequest decodes a POST /v1/solve body in one pass without
